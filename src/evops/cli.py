@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from .dataset import (
 from .evolution import SEARCHES, EvolutionConfig, run_evolution
 from .pareto_report import (
     aggregate_runs,
+    baseline_scores,
     build_report,
     compute_baseline,
     export_aggregate,
@@ -92,6 +92,15 @@ def _layered(file_values: dict, flag_values: dict, allowed: dict) -> dict:
     return merged
 
 
+def _validated(config):
+    """``config`` once its ``validate()`` passes; a ValueError becomes a ConfigError."""
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return config
+
+
 def _evolution_defaults() -> dict:
     """Every EvolutionConfig field but the seed, which comes from --seeds."""
     defaults = EvolutionConfig()
@@ -111,15 +120,10 @@ def _evolution_config(args) -> EvolutionConfig:
         },
         _evolution_defaults(),
     )
-    config = EvolutionConfig(**merged)
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return config
+    return _validated(EvolutionConfig(**merged))
 
 
-def _run_one_seed(dataset, config, seed, out_dir, workers):
+def _run_one_seed(dataset, config, seed, out_dir):
     cfg = replace(config, seed=seed)
 
     def progress(trace):
@@ -132,8 +136,7 @@ def _run_one_seed(dataset, config, seed, out_dir, workers):
             file=sys.stderr,
         )
 
-    population, traces = run_evolution(dataset, cfg, workers=workers,
-                                       on_generation=progress)
+    population, traces = run_evolution(dataset, cfg, on_generation=progress)
     report = build_report(dataset, cfg, population, traces)
     export_report(report, Path(out_dir) / f"seed_{seed}")
     return report
@@ -147,19 +150,7 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.parallel_seeds > 1:
-        with ThreadPoolExecutor(max_workers=args.parallel_seeds) as pool:
-            reports = list(
-                pool.map(
-                    lambda s: _run_one_seed(dataset, config, s, out_dir, args.workers),
-                    seeds,
-                )
-            )
-    else:
-        reports = [
-            _run_one_seed(dataset, config, s, out_dir, args.workers) for s in seeds
-        ]
-
+    reports = [_run_one_seed(dataset, config, s, out_dir) for s in seeds]
     export_aggregate(aggregate_runs(reports), out_dir / "aggregate.json")
     return EXIT_OK
 
@@ -181,14 +172,9 @@ def _synth_config(args) -> SynthConfig:
             "noise_sigma": args.noise_sigma,
             "seed": args.seed,
         },
-        {f.name: getattr(defaults, f.name) for f in defaults.__dataclass_fields__.values()},
+        {f.name: getattr(defaults, f.name) for f in fields(defaults)},
     )
-    config = SynthConfig(**merged)
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return config
+    return _validated(SynthConfig(**merged))
 
 
 def cmd_gen_synth(args) -> int:
@@ -209,10 +195,7 @@ def cmd_baseline(args) -> int:
         {"k_neighbors": args.k},
         _evolution_defaults(),
     )
-    k = merged["k_neighbors"]
-    if not isinstance(k, int) or k < 1:
-        raise ConfigError("k_neighbors must be an integer >= 1")
-    baseline = compute_baseline(dataset, k)
+    baseline = compute_baseline(dataset, _validated(EvolutionConfig(**merged)).k_neighbors)
     print(
         f"baseline: patch_count={baseline.patch_count}  "
         f"validation_f1={baseline.validation_f1:.6f}  "
@@ -221,14 +204,9 @@ def cmd_baseline(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "patch_count": baseline.patch_count,
-            "validation_f1": baseline.validation_f1,
-            "test_f1": baseline.test_f1,
-        }
         with open(out_dir / "baseline.json", "w", encoding="utf-8",
                   newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(baseline_scores(baseline), fh, indent=2)
             fh.write("\n")
         write_confusion_csv(out_dir / "confusion_val_baseline.csv",
                          baseline.validation_confusion)
@@ -249,10 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--config", default=None, help="JSON config file")
     run.add_argument("--seeds", default="0", help="e.g. '0', '1..10', '1,4,9'")
+    # --workers and --parallel-seeds are accepted for existing scripts and
+    # change nothing: threads lost to serial evaluation (the work holds the GIL).
     run.add_argument("--workers", type=int, default=1,
-                     help="fitness-evaluation threads (never changes results)")
+                     help="accepted for compatibility; evaluation runs serially")
     run.add_argument("--parallel-seeds", type=int, default=1,
-                     help="run this many seeds concurrently")
+                     help="accepted for compatibility; seeds run one after another")
     run.add_argument("--generations", type=int, default=None)
     run.add_argument("--pop-size", type=int, default=None)
     run.add_argument("--swap-p", type=float, default=None)

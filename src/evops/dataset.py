@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -131,6 +132,20 @@ def build_layout(train_slides) -> GenomeLayout:
     return GenomeLayout(total_patches=offset, segments=tuple(segments))
 
 
+def check_number_fields(config) -> None:
+    """Raise ValueError for a dataclass field that is not the number it is annotated as.
+
+    An ``int`` field needs a ``numbers.Integral`` and a ``float`` field a
+    ``numbers.Real``; a bool is neither. Other fields are not checked.
+    """
+    for field in fields(config):
+        annotation = getattr(field.type, "__name__", field.type)
+        kind = {"int": numbers.Integral, "float": numbers.Real}.get(annotation)
+        value = getattr(config, field.name)
+        if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise ValueError(f"{field.name} must be {annotation}, got {value!r}")
+
+
 def slide_mean_all(slide: SlideRecord) -> np.ndarray:
     """Mean over every patch row, accumulated in double precision."""
     return slide.embeddings.mean(axis=0, dtype=np.float64)
@@ -181,8 +196,10 @@ def _manifest_path(path) -> Path:
 def load_dataset(manifest_path) -> SplitDataset:
     """Load and validate a dataset from a manifest file (or its directory).
 
-    Rejects dimension mismatches, empty slides, non-finite values and
-    duplicate slide ids; every error message names the offending slide.
+    Checks the manifest itself: its keys and types, each slide's split and
+    declared rows, and each file's dim against the manifest's ``dim``. The
+    slides are then validated by ``make_dataset``. Every error message about
+    a slide names it.
     """
     manifest_path = _manifest_path(manifest_path)
     try:
@@ -209,7 +226,6 @@ def load_dataset(manifest_path) -> SplitDataset:
         raise ManifestParseError(f"{manifest_path}: 'normalization' must be a string")
 
     base = manifest_path.parent
-    seen_ids: set[str] = set()
     by_split: dict[str, list[SlideRecord]] = {name: [] for name in SPLITS}
     for entry in entries:
         if not isinstance(entry, dict):
@@ -230,39 +246,24 @@ def load_dataset(manifest_path) -> SplitDataset:
             )
         if split not in SPLITS:
             raise ValidationError(f"slide '{slide_id}': unknown split '{split}'")
-        if slide_id in seen_ids:
-            raise ValidationError(f"slide '{slide_id}': duplicate slide_id")
-        seen_ids.add(slide_id)
-
         embeddings = read_embedding_file(base / rel_path)
         if embeddings.shape[0] != rows:
             raise ValidationError(
                 f"slide '{slide_id}': manifest declares {rows} rows, "
                 f"file holds {embeddings.shape[0]}"
             )
-        if embeddings.shape[0] < 1:
-            raise ValidationError(f"slide '{slide_id}': slide has zero patches")
         if embeddings.shape[1] != dim:
             raise ValidationError(
                 f"slide '{slide_id}': embedding dim {embeddings.shape[1]} "
                 f"does not match dataset dim {dim}"
             )
-        if not np.isfinite(embeddings).all():
-            raise ValidationError(f"slide '{slide_id}': non-finite embedding values")
         embeddings.setflags(write=False)
         by_split[split].append(
             SlideRecord(slide_id=slide_id, label=label, split=split, embeddings=embeddings)
         )
 
-    classes = tuple(sorted({rec.label for recs in by_split.values() for rec in recs}))
-    return SplitDataset(
-        classes=classes,
-        train=tuple(by_split["train"]),
-        validation=tuple(by_split["validation"]),
-        test=tuple(by_split["test"]),
-        dim=dim,
-        normalization=normalization,
-    )
+    return make_dataset(by_split["train"], by_split["validation"], by_split["test"],
+                        normalization)
 
 
 def write_dataset(dataset: SplitDataset, out_dir) -> Path:

@@ -25,7 +25,7 @@ Randomness discipline: one root seed feeds a single sequential generator.
 Draw order is fixed (initialization, then per generation: parent selection,
 all crossovers pair-by-pair, all mutations offspring-by-offspring), and
 fitness evaluation consumes no randomness, so a run is a deterministic
-function of (dataset, config) regardless of evaluation parallelism.
+function of (dataset, config).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import GenomeLayout, SplitDataset, build_layout
+from .dataset import GenomeLayout, SplitDataset, build_layout, check_number_fields
 from .fitness import FitnessEvaluator, FitnessPair, segment_popcounts
 
 SEARCHES = ("guided", "paper")
@@ -67,6 +67,7 @@ class EvolutionConfig:
     def validate(self) -> None:
         if self.search not in SEARCHES:
             raise ValueError(f"search must be one of {', '.join(SEARCHES)}")
+        check_number_fields(self)
         if self.population_size < 2 or self.population_size % 2 != 0:
             raise ValueError("population_size must be an even integer >= 2")
         if self.generations < 0:
@@ -321,10 +322,10 @@ def select_survivors(combined, population_size) -> list[Individual]:
     return survivors
 
 
-def _evaluate_missing(population, evaluator, workers) -> None:
-    todo = [ind for ind in population if ind.fitness is None]
-    for ind, pair in zip(todo, evaluator.evaluate_many([i.genome for i in todo], workers)):
-        ind.fitness = pair
+def _evaluate_missing(population, evaluator) -> None:
+    for ind in population:
+        if ind.fitness is None:
+            ind.fitness = evaluator.evaluate(ind.genome)
 
 
 def _trace(generation, population) -> GenerationTrace:
@@ -350,8 +351,8 @@ def run_evolution(dataset: SplitDataset, config: EvolutionConfig, workers=1,
     ``config.search`` picks the published search or the guided one (see the
     module docstring). Returns (final population, per-generation traces). Trace 0 describes the
     evaluated initial population. ``on_generation`` receives each trace as
-    it is produced. Deterministic in (dataset, config.seed); ``workers``
-    only parallelizes fitness evaluation and never changes results.
+    it is produced. Deterministic in (dataset, config.seed). ``workers`` has
+    no effect; genomes are evaluated serially, which beat a thread pool.
     """
     config.validate()
     if not dataset.train:
@@ -369,7 +370,7 @@ def run_evolution(dataset: SplitDataset, config: EvolutionConfig, workers=1,
 
     relevance = class_relevance(dataset.train) if guided else None
     population = initialize_population(layout, config, rng, relevance)
-    _evaluate_missing(population, evaluator, workers)
+    _evaluate_missing(population, evaluator)
     rank_population(population)
     traces = [_trace(0, population)]
     if on_generation:
@@ -391,7 +392,7 @@ def run_evolution(dataset: SplitDataset, config: EvolutionConfig, workers=1,
             for child in children
         ]
         combined = population + offspring
-        _evaluate_missing(combined, evaluator, workers)
+        _evaluate_missing(combined, evaluator)
         population = select_survivors(combined, config.population_size)
         traces.append(_trace(generation, population))
         if on_generation:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,8 +260,8 @@ class FitnessEvaluator:
 
     Caches the stacked training matrix, the evaluation-slide mean vectors
     (they never change within a run) and previously computed fitness pairs
-    keyed by genome digest. Evaluation consumes no randomness, so results
-    are identical for any worker count.
+    keyed by genome digest. Evaluation consumes no randomness, so a
+    genome's fitness does not depend on when or how often it is evaluated.
 
     With ``constrained`` set, each genome is also scored by its retrieval
     AUC (``retrieval_auc``), and ``FitnessPair.violation`` is how far that
@@ -372,14 +371,6 @@ class FitnessEvaluator:
         pair, _ = self.evaluate_full(genome)
         self._cache[key] = pair
         return pair
-
-    def evaluate_many(self, genomes, workers=1) -> list[FitnessPair]:
-        """Evaluate a batch, optionally fanning out across a thread pool."""
-        genomes = list(genomes)
-        if workers <= 1 or len(genomes) <= 1:
-            return [self.evaluate(g) for g in genomes]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(self.evaluate, genomes))
 
 
 def evaluate_individual(genome, layout, train_slides, eval_slides, k, classes=None):

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import GenomeLayout, SplitDataset, build_layout
 from .evolution import EvolutionConfig, GenerationTrace, fast_non_dominated_sort
-from .fitness import ConfusionMatrix, evaluate_individual
+from .fitness import ConfusionMatrix, FitnessEvaluator
 
 CSV_FLOAT_FMT = "%.6f"
 
@@ -103,11 +103,14 @@ def extract_front(population) -> list:
     return unique
 
 
-def _score_split(genome, layout, dataset, eval_slides, k):
-    pair, cm = evaluate_individual(
-        genome, layout, dataset.train, eval_slides, k, classes=dataset.classes
-    )
-    return 1.0 - pair.f2_error, pair, cm
+def _held_out_scores(genomes, layout, dataset: SplitDataset, split, k) -> list:
+    """Each genome's (FitnessPair, ConfusionMatrix) on one held-out split.
+
+    One unconstrained evaluator scores every genome; its F1 is 1 - f2_error.
+    Scoring one split at a time keeps one copy of the training matrix alive.
+    """
+    evaluator = FitnessEvaluator(layout, dataset.train, split, k, classes=dataset.classes)
+    return [evaluator.evaluate_full(genome) for genome in genomes]
 
 
 def evaluate_front(front, dataset: SplitDataset, k) -> list[FrontSolution]:
@@ -116,11 +119,11 @@ def evaluate_front(front, dataset: SplitDataset, k) -> list[FrontSolution]:
         raise ValueError("front is empty")
     dataset.require_runnable()
     layout = build_layout(dataset.train)
+    genomes = [np.asarray(ind.genome, dtype=bool) for ind in front]
+    val_scores = _held_out_scores(genomes, layout, dataset, dataset.validation, k)
+    test_scores = _held_out_scores(genomes, layout, dataset, dataset.test, k)
     solutions = []
-    for ind in front:
-        genome = np.asarray(ind.genome, dtype=bool)
-        val_f1, pair, val_cm = _score_split(genome, layout, dataset, dataset.validation, k)
-        test_f1, _, test_cm = _score_split(genome, layout, dataset, dataset.test, k)
+    for genome, (val_pair, val_cm), (test_pair, test_cm) in zip(genomes, val_scores, test_scores):
         counts = {
             rec.slide_id: int(genome[off : off + length].sum())
             for rec, (_, off, length) in zip(dataset.train, layout.segments)
@@ -129,9 +132,9 @@ def evaluate_front(front, dataset: SplitDataset, k) -> list[FrontSolution]:
             FrontSolution(
                 genome=genome,
                 patch_count=int(genome.sum()),
-                f1_fraction=pair.f1_fraction,
-                validation_f1=val_f1,
-                test_f1=test_f1,
+                f1_fraction=val_pair.f1_fraction,
+                validation_f1=1.0 - val_pair.f2_error,
+                test_f1=1.0 - test_pair.f2_error,
                 validation_confusion=val_cm,
                 test_confusion=test_cm,
                 per_slide_counts=counts,
@@ -144,16 +147,22 @@ def compute_baseline(dataset: SplitDataset, k) -> BaselineReport:
     """Score the all-ones genome (every training patch retained)."""
     dataset.require_runnable()
     layout = build_layout(dataset.train)
-    genome = np.ones(layout.total_patches, dtype=bool)
-    val_f1, _, val_cm = _score_split(genome, layout, dataset, dataset.validation, k)
-    test_f1, _, test_cm = _score_split(genome, layout, dataset, dataset.test, k)
+    genomes = [np.ones(layout.total_patches, dtype=bool)]
+    [(val_pair, val_cm)] = _held_out_scores(genomes, layout, dataset, dataset.validation, k)
+    [(test_pair, test_cm)] = _held_out_scores(genomes, layout, dataset, dataset.test, k)
     return BaselineReport(
         patch_count=layout.total_patches,
-        validation_f1=val_f1,
-        test_f1=test_f1,
+        validation_f1=1.0 - val_pair.f2_error,
+        test_f1=1.0 - test_pair.f2_error,
         validation_confusion=val_cm,
         test_confusion=test_cm,
     )
+
+
+def baseline_scores(baseline: BaselineReport) -> dict:
+    """The baseline's patch count and F1s, as every summary writes them."""
+    return {"patch_count": baseline.patch_count, "validation_f1": baseline.validation_f1,
+            "test_f1": baseline.test_f1}
 
 
 def _argbest(front, key) -> int:
@@ -245,11 +254,7 @@ def aggregate_runs(reports) -> AggregateReport:
         runs=len(reports),
         seeds=[rep.config.seed for rep in reports],
         dataset_hash=first.dataset_hash,
-        baseline={
-            "patch_count": first.baseline.patch_count,
-            "validation_f1": first.baseline.validation_f1,
-            "test_f1": first.baseline.test_f1,
-        },
+        baseline=baseline_scores(first.baseline),
         best_val=stats_at(lambda rep: rep.best_val),
         best_test=stats_at(lambda rep: rep.best_test),
         per_class_patches_per_slide=per_class,
@@ -292,11 +297,7 @@ def report_summary(report: RunReport) -> dict:
         "config": asdict(report.config),
         "dataset_hash": report.dataset_hash,
         "total_patches": report.total_patches,
-        "baseline": {
-            "patch_count": report.baseline.patch_count,
-            "validation_f1": report.baseline.validation_f1,
-            "test_f1": report.baseline.test_f1,
-        },
+        "baseline": baseline_scores(report.baseline),
         "front_size": len(report.front),
         "best_val": _solution_summary(report, report.best_val),
         "best_test": _solution_summary(report, report.best_test),
@@ -344,11 +345,9 @@ def export_report(report: RunReport, out_dir) -> Path:
 
     _write_csv(
         out_dir / "trace.csv",
-        ["generation", "best_f2_error", "mean_f2_error", "min_f1_fraction",
-         "mean_f1_fraction", "front0_size"],
+        [f.name for f in fields(GenerationTrace)],
         [
-            [t.generation, _fmt(t.best_f2_error), _fmt(t.mean_f2_error),
-             _fmt(t.min_f1_fraction), _fmt(t.mean_f1_fraction), t.front0_size]
+            [_fmt(v) if isinstance(v, float) else v for v in astuple(t)]
             for t in report.traces
         ],
     )
@@ -362,16 +361,7 @@ def export_report(report: RunReport, out_dir) -> Path:
 def export_aggregate(aggregate: AggregateReport, path) -> Path:
     """Write the cross-seed aggregate as JSON."""
     path = Path(path)
-    payload = {
-        "runs": aggregate.runs,
-        "seeds": aggregate.seeds,
-        "dataset_hash": aggregate.dataset_hash,
-        "baseline": aggregate.baseline,
-        "best_val": aggregate.best_val,
-        "best_test": aggregate.best_test,
-        "per_class_patches_per_slide": aggregate.per_class_patches_per_slide,
-    }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(asdict(aggregate), fh, indent=2)
         fh.write("\n")
     return path

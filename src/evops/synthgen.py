@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import SlideRecord, SplitDataset, make_dataset, write_dataset
+from .dataset import SlideRecord, SplitDataset, check_number_fields, make_dataset, write_dataset
 
 
 @dataclass
@@ -35,6 +35,7 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_number_fields(self)
         if self.classes < 2:
             raise ValueError("classes must be >= 2")
         for name in ("train_slides_per_class", "validation_slides_per_class",

@@ -203,3 +203,23 @@ def test_run_records_search_rule(small_ds, tmp_path):
     assert code == 0
     summary = json.loads((tmp_path / "flag" / "seed_1" / "summary.json").read_text())
     assert summary["config"]["search"] == "guided"  # flag wins
+
+
+@pytest.mark.parametrize("config", [{"k_neighbors": "5"}, {"generations": 1.5}])
+def test_run_rejects_wrongly_typed_config_exit_2(small_ds, tmp_path, capsys, config):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code = run_cli("run", "--dataset", small_ds, "--out", tmp_path / "r", "--seeds", "1",
+                   "--pop-size", "4", "--config", config_path)
+    assert code == 2
+    assert next(iter(config)) in capsys.readouterr().err
+    assert not list((tmp_path / "r").glob("seed_*"))
+
+
+def test_gen_synth_rejects_wrongly_typed_config_exit_2(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"dim": "4"}))
+    code = run_cli("gen-synth", "--out", tmp_path / "x", "--config", config_path)
+    assert code == 2
+    assert "dim" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()

@@ -11,6 +11,7 @@ from evops.dataset import (
     ValidationError,
     build_layout,
     load_dataset,
+    make_dataset,
     read_embedding_file,
     slide_mean_all,
     write_dataset,
@@ -225,3 +226,29 @@ def test_normalization_flag_roundtrip(tmp_path):
                     "path": "s.emb", "rows": 1})
     ds = load_dataset(write_manifest(tmp_path, 2, entries, normalization="l2"))
     assert ds.normalization == "l2"
+
+
+@pytest.mark.parametrize("fault", ["zero rows", "dim", "nan", "duplicate id"])
+def test_make_dataset_names_faulty_slide(fault):
+    good = make_slide("good", "a", "train", 3, 4, seed=1)
+    bad = make_slide("bad", "b", "validation", 3, 4, seed=2)
+    if fault == "zero rows":
+        bad = make_slide("bad", "b", "validation", 0, 4)
+    elif fault == "dim":
+        bad = make_slide("bad", "b", "validation", 3, 5)
+    elif fault == "nan":
+        bad.embeddings[1, 2] = np.nan
+    test = [make_slide("bad" if fault == "duplicate id" else "other", "b", "test", 2, 4)]
+    with pytest.raises(ValidationError, match="slide 'bad'"):
+        make_dataset([good], [bad], test)
+
+
+def test_manifest_dim_disagreeing_with_first_slide_names_it(tmp_path):
+    write_embedding_file(tmp_path / "first.emb", np.ones((2, 8), dtype=np.float32))
+    write_embedding_file(tmp_path / "second.emb", np.ones((2, 4), dtype=np.float32))
+    entries = [
+        {"slide_id": "first", "label": "a", "split": "train", "path": "first.emb", "rows": 2},
+        {"slide_id": "second", "label": "a", "split": "train", "path": "second.emb", "rows": 2},
+    ]
+    with pytest.raises(ValidationError, match="slide 'first'"):
+        load_dataset(write_manifest(tmp_path, 4, entries))

@@ -268,19 +268,6 @@ def test_segment_permutation_invariance():
     assert abs(pair.f2_error - pair2.f2_error) < 1e-12
 
 
-def test_evaluator_worker_count_invariance():
-    from evops.fitness import FitnessEvaluator
-
-    rng = np.random.default_rng(13)
-    train = make_slides(rng, 6, 4, ["a", "b"])
-    evals = make_slides(rng, 4, 4, ["a", "b"], split="validation")
-    layout = build_layout(train)
-    genomes = [random_covered_genome(rng, layout) for _ in range(20)]
-    serial = FitnessEvaluator(layout, train, evals, 3).evaluate_many(genomes, workers=1)
-    threaded = FitnessEvaluator(layout, train, evals, 3).evaluate_many(genomes, workers=8)
-    assert serial == threaded
-
-
 def test_knn_batch_matches_single_queries():
     rng = np.random.default_rng(14)
     rows = rng.standard_normal((400, 6))

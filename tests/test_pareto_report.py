@@ -7,7 +7,7 @@ import pytest
 
 from evops.dataset import build_layout
 from evops.evolution import EvolutionConfig, Individual, run_evolution
-from evops.fitness import FitnessPair
+from evops.fitness import FitnessPair, evaluate_individual
 from evops.pareto_report import (
     MixedDatasetError,
     aggregate_runs,
@@ -301,3 +301,26 @@ def test_export_aggregate_file(planted_run, tmp_path):
     assert set(parsed["per_class_patches_per_slide"]) == set(
         report.per_class_patches_per_slide
     )
+
+
+def test_report_scores_equal_evaluate_individual():
+    ds = generate(PLANTED)
+    layout = build_layout(ds.train)
+    rng = np.random.default_rng(4)
+    front = []
+    for density in (0.1, 0.3, 0.6, 0.9):
+        genome = rng.random(layout.total_patches) < density
+        genome[layout.offsets] = True  # a patch in every slide
+        front.append(Individual(genome=genome))
+    solutions = evaluate_front(front, ds, 3)
+    scored = [(ind.genome, sol) for ind, sol in zip(front, solutions)]
+    scored.append((np.ones(layout.total_patches, dtype=bool), compute_baseline(ds, 3)))
+    assert len(solutions) == len(front)
+    for genome, sol in scored:
+        for split, f1, cm in ((ds.validation, sol.validation_f1, sol.validation_confusion),
+                              (ds.test, sol.test_f1, sol.test_confusion)):
+            pair, expected = evaluate_individual(genome, layout, ds.train, split, 3,
+                                                 classes=ds.classes)
+            assert f1 == 1.0 - pair.f2_error
+            assert cm.classes == expected.classes
+            assert np.array_equal(cm.counts, expected.counts)
