@@ -244,6 +244,10 @@ def load_dataset(manifest_path) -> SplitDataset:
             raise ManifestParseError(
                 f"{manifest_path}: slide_id/label/split/path must be strings"
             )
+        if isinstance(rows, bool) or not isinstance(rows, int) or rows < 0:
+            raise ManifestParseError(
+                f"{manifest_path}: slide '{slide_id}': 'rows' must be a non-negative integer"
+            )
         if split not in SPLITS:
             raise ValidationError(f"slide '{slide_id}': unknown split '{split}'")
         embeddings = read_embedding_file(base / rel_path)

@@ -323,9 +323,16 @@ def select_survivors(combined, population_size) -> list[Individual]:
 
 
 def _evaluate_missing(population, evaluator) -> None:
-    for ind in population:
-        if ind.fitness is None:
-            ind.fitness = evaluator.evaluate(ind.genome)
+    """Score every individual without fitness in one ``evaluate`` call.
+
+    The genomes are stacked into one (N, P) matrix; the evaluator computes
+    each distinct genome that its cache does not hold, once.
+    """
+    pending = [ind for ind in population if ind.fitness is None]
+    if pending:
+        pairs = evaluator.evaluate(np.stack([ind.genome for ind in pending]))
+        for ind, pair in zip(pending, pairs):
+            ind.fitness = pair
 
 
 def _trace(generation, population) -> GenerationTrace:

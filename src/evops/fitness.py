@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,14 +66,18 @@ class ConfusionMatrix:
 
 @dataclass(frozen=True)
 class ReferenceLibrary:
-    """One aggregated vector per represented training slide, with provenance."""
+    """One aggregated vector per represented training slide, with provenance.
 
-    vectors: np.ndarray  # (n, dim) float64
+    ``vectors`` is (S, dim), or (N, S, dim) for a batch of N genomes; the
+    labels and slide ids are shared by every row of a batch.
+    """
+
+    vectors: np.ndarray  # (S, dim) or (N, S, dim) float64
     labels: tuple[str, ...]
     slide_ids: tuple[str, ...]
 
     def __len__(self) -> int:
-        return self.vectors.shape[0]
+        return self.vectors.shape[-2]
 
 
 def stack_train_embeddings(train_slides) -> np.ndarray:
@@ -82,37 +86,56 @@ def stack_train_embeddings(train_slides) -> np.ndarray:
 
 
 def segment_popcounts(genome: np.ndarray, layout: GenomeLayout) -> np.ndarray:
-    """Number of set bits in each slide segment."""
-    return np.add.reduceat(genome.astype(np.int64), layout.offsets)
+    """Number of set bits in each slide segment, along the last axis."""
+    return np.add.reduceat(genome, layout.offsets, axis=-1, dtype=np.int64)
+
+
+def genome_matrix(genome, layout) -> np.ndarray:
+    """``genome`` as an (N, P) bool matrix; one (P,) genome gives one row."""
+    genomes = np.asarray(genome, dtype=bool)
+    if genomes.ndim not in (1, 2) or genomes.shape[-1] != layout.total_patches:
+        raise ValueError(
+            f"genome shape {genomes.shape} is neither ({layout.total_patches},) "
+            f"nor (N, {layout.total_patches})"
+        )
+    return genomes.reshape(-1, layout.total_patches)
 
 
 def aggregate_selected(genome, layout, train_slides, stacked=None) -> ReferenceLibrary:
     """Build the reference library: per-slide mean over selected patches only.
 
+    ``genome`` is one (P,) genome, giving (S, dim) vectors, or an (N, P)
+    matrix, giving (N, S, dim). Each slide's sums are one matrix product of
+    its columns of the genome matrix with its rows of the training matrix.
+    The products are exact (each bit is 0 or 1), so the result depends on
+    the summation order only when a float64 sum rounds; float32 embeddings
+    within 2**20 of each other in magnitude per slide and dimension give
+    exact sums for slides of up to 512 patches, and then every batch shape
+    gives the same bits.
+
     ``stacked`` may pass a precomputed stack_train_embeddings() result so
     per-generation evaluation avoids re-concatenating the training matrix.
+    Raises CoverageViolation naming the slide of the first empty segment of
+    the first genome that has one.
     """
-    genome = np.asarray(genome, dtype=bool)
-    if genome.shape != (layout.total_patches,):
-        raise ValueError(
-            f"genome length {genome.shape} does not match layout ({layout.total_patches},)"
-        )
-    counts = segment_popcounts(genome, layout)
+    batched = np.ndim(genome) == 2
+    genomes = genome_matrix(genome, layout)
+    counts = segment_popcounts(genomes, layout)
     if (counts == 0).any():
-        bad = int(np.flatnonzero(counts == 0)[0])
+        row, bad = np.argwhere(counts == 0)[0]
+        which = f" of genome {row}" if batched else ""
         raise CoverageViolation(
-            f"segment {bad} (slide '{train_slides[bad].slide_id}') has no selected patch"
+            f"segment {bad}{which} (slide '{train_slides[bad].slide_id}') has no selected patch"
         )
     if stacked is None:
         stacked = stack_train_embeddings(train_slides)
-    # Gather only the selected rows; coverage guarantees every segment
-    # contributes, so the per-segment boundaries are strictly increasing.
-    selected = np.flatnonzero(genome)
-    boundaries = np.searchsorted(selected, layout.offsets)
-    sums = np.add.reduceat(stacked[selected], boundaries, axis=0)
-    vectors = sums / counts[:, None]
+    vectors = np.empty((len(genomes), layout.n_slides, stacked.shape[1]))
+    for s, (_, offset, length) in enumerate(layout.segments):
+        segment = slice(offset, offset + length)
+        np.matmul(genomes[:, segment].astype(np.float64), stacked[segment], out=vectors[:, s])
+    vectors /= counts[..., None]
     return ReferenceLibrary(
-        vectors=vectors,
+        vectors=vectors if batched else vectors[0],
         labels=tuple(rec.label for rec in train_slides),
         slide_ids=tuple(rec.slide_id for rec in train_slides),
     )
@@ -255,13 +278,21 @@ def weighted_f1(true_labels, predicted_labels, classes) -> float:
     )
 
 
+# evaluate_full aggregates a batch in blocks of rows holding at most this
+# many library values (1 MiB of float64), so the memory a batch adds is
+# bounded whatever its size.
+_LIBRARY_CELLS = 1 << 17
+
+
 class FitnessEvaluator:
     """Evaluates genomes against one fixed (train, eval) slide pairing.
 
     Caches the stacked training matrix, the evaluation-slide mean vectors
     (they never change within a run) and previously computed fitness pairs
-    keyed by genome digest. Evaluation consumes no randomness, so a
-    genome's fitness does not depend on when or how often it is evaluated.
+    keyed by genome digest; ``evaluate`` computes each distinct genome of a
+    batch once, whether it repeats a cached genome or an earlier row of the
+    same batch. Evaluation consumes no randomness, so a genome's fitness
+    does not depend on when or how often it is evaluated.
 
     With ``constrained`` set, each genome is also scored by its retrieval
     AUC (``retrieval_auc``), and ``FitnessPair.violation`` is how far that
@@ -345,32 +376,56 @@ class FitnessEvaluator:
     def _digest(self, genome: np.ndarray) -> bytes:
         return hashlib.blake2b(genome.tobytes(), digest_size=16).digest()
 
-    def evaluate_full(self, genome) -> tuple[FitnessPair, ConfusionMatrix]:
-        """Both objectives plus the evaluation-split confusion matrix."""
-        genome = np.asarray(genome, dtype=bool)
-        library = aggregate_selected(genome, self.layout, self.train_slides, self._stacked)
-        predicted = knn_predict(self._queries, library, self.k)
-        cm = confusion_matrix(self._true_labels, predicted, self.classes)
-        violation = 0.0
-        if self.reference_auc is not None:
-            violation = max(0.0, self.reference_auc - self._library_auc(library))
-        pair = FitnessPair(
-            f1_fraction=int(genome.sum()) / self.layout.total_patches,
-            f2_error=1.0 - weighted_f1_from_confusion(cm),
-            violation=violation,
-        )
-        return pair, cm
+    def evaluate_full(self, genome):
+        """Both objectives plus the evaluation-split confusion matrix.
 
-    def evaluate(self, genome) -> FitnessPair:
-        """Objectives only, with digest-keyed memoization."""
-        genome = np.asarray(genome, dtype=bool)
-        key = self._digest(genome)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        pair, _ = self.evaluate_full(genome)
-        self._cache[key] = pair
-        return pair
+        ``genome`` is one (P,) genome, giving one (FitnessPair,
+        ConfusionMatrix), or an (N, P) matrix, giving a list of N of them.
+        The libraries of a matrix are aggregated a block of rows at a time,
+        at most ``_LIBRARY_CELLS`` library values per block; k-NN, scoring
+        and the retrieval AUC then run on each genome's library in turn.
+        """
+        genomes = genome_matrix(genome, self.layout)
+        block_rows = max(1, _LIBRARY_CELLS // self._stacked.shape[1] // self.layout.n_slides)
+        results = []
+        for start in range(0, len(genomes), block_rows):
+            block = genomes[start : start + block_rows]
+            library = aggregate_selected(block, self.layout, self.train_slides, self._stacked)
+            for row, vectors in zip(block, library.vectors):
+                row_library = replace(library, vectors=vectors)
+                predicted = knn_predict(self._queries, row_library, self.k)
+                cm = confusion_matrix(self._true_labels, predicted, self.classes)
+                violation = 0.0
+                if self.reference_auc is not None:
+                    violation = max(0.0, self.reference_auc - self._library_auc(row_library))
+                pair = FitnessPair(
+                    f1_fraction=int(row.sum()) / self.layout.total_patches,
+                    f2_error=1.0 - weighted_f1_from_confusion(cm),
+                    violation=violation,
+                )
+                results.append((pair, cm))
+        return results if np.ndim(genome) == 2 else results[0]
+
+    def evaluate(self, genome):
+        """Objectives only, with digest-keyed memoization.
+
+        ``genome`` is one (P,) genome, giving one FitnessPair, or an (N, P)
+        matrix, giving a list of N. Rows already cached, or repeating an
+        earlier row of the matrix, are not recomputed; the rest go to one
+        ``evaluate_full`` call.
+        """
+        genomes = genome_matrix(genome, self.layout)
+        keys = [self._digest(row) for row in genomes]
+        missing: dict[bytes, int] = {}  # digest -> first row holding it
+        for i, key in enumerate(keys):
+            if key not in self._cache:
+                missing.setdefault(key, i)
+        if missing:
+            scored = self.evaluate_full(genomes[list(missing.values())])
+            for key, (pair, _) in zip(missing, scored):
+                self._cache[key] = pair
+        pairs = [self._cache[key] for key in keys]
+        return pairs if np.ndim(genome) == 2 else pairs[0]
 
 
 def evaluate_individual(genome, layout, train_slides, eval_slides, k, classes=None):

@@ -106,11 +106,12 @@ def extract_front(population) -> list:
 def _held_out_scores(genomes, layout, dataset: SplitDataset, split, k) -> list:
     """Each genome's (FitnessPair, ConfusionMatrix) on one held-out split.
 
-    One unconstrained evaluator scores every genome; its F1 is 1 - f2_error.
-    Scoring one split at a time keeps one copy of the training matrix alive.
+    One unconstrained evaluator scores every genome in one ``evaluate_full``
+    call; its F1 is 1 - f2_error. Scoring one split at a time keeps one copy
+    of the training matrix alive.
     """
     evaluator = FitnessEvaluator(layout, dataset.train, split, k, classes=dataset.classes)
-    return [evaluator.evaluate_full(genome) for genome in genomes]
+    return evaluator.evaluate_full(np.stack(genomes))
 
 
 def evaluate_front(front, dataset: SplitDataset, k) -> list[FrontSolution]:

@@ -48,10 +48,11 @@ class SynthConfig:
             raise ValueError("informative_fraction must be in (0, 1]")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.class_separation < 0:
-            raise ValueError("class_separation must be >= 0")
-        if self.noise_sigma <= 0:
-            raise ValueError("noise_sigma must be > 0")
+        # A NaN fails every comparison, so finiteness is checked first.
+        if not math.isfinite(self.class_separation) or self.class_separation < 0:
+            raise ValueError("class_separation must be finite and >= 0")
+        if not math.isfinite(self.noise_sigma) or self.noise_sigma <= 0:
+            raise ValueError("noise_sigma must be finite and > 0")
 
 
 def _class_label(c: int) -> str:

@@ -223,3 +223,13 @@ def test_gen_synth_rejects_wrongly_typed_config_exit_2(tmp_path, capsys):
     assert code == 2
     assert "dim" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flag, field", [("--separation", "class_separation"),
+                                         ("--noise-sigma", "noise_sigma")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_gen_synth_rejects_non_finite_exit_2(tmp_path, capsys, flag, field, value):
+    code = run_cli("gen-synth", "--out", tmp_path / "x", flag, value)
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()

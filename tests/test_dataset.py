@@ -252,3 +252,11 @@ def test_manifest_dim_disagreeing_with_first_slide_names_it(tmp_path):
     ]
     with pytest.raises(ValidationError, match="slide 'first'"):
         load_dataset(write_manifest(tmp_path, 4, entries))
+
+
+@pytest.mark.parametrize("rows", ["3", 3.0, True, -1, None])
+def test_manifest_rows_must_be_a_non_negative_integer(tmp_path, rows):
+    write_embedding_file(tmp_path / "r.emb", np.ones((3, 2), dtype=np.float32))
+    entries = [{"slide_id": "r", "label": "a", "split": "train", "path": "r.emb", "rows": rows}]
+    with pytest.raises(ManifestParseError, match="slide 'r': 'rows'"):
+        load_dataset(write_manifest(tmp_path, 2, entries))

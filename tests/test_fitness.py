@@ -331,3 +331,82 @@ def test_unconstrained_evaluator_reports_no_violation():
     evaluator = FitnessEvaluator(layout, train, evals, 3)
     assert evaluator.reference_auc is None
     assert evaluator.evaluate(random_covered_genome(rng, layout)).violation == 0.0
+
+
+def test_evaluate_batch_computes_each_distinct_genome_once():
+    rng = np.random.default_rng(18)
+    train = make_slides(rng, 6, 4, ["a", "b"])
+    evals = make_slides(rng, 4, 4, ["a", "b"], split="validation")
+    layout = build_layout(train)
+    first, second = (random_covered_genome(rng, layout) for _ in range(2))
+    evaluator = FitnessEvaluator(layout, train, evals, 3, constrained=True)
+    computed = []  # rows passed to each evaluate_full call
+    evaluate_full = evaluator.evaluate_full
+
+    def counting(genomes):
+        computed.append(len(genomes))
+        return evaluate_full(genomes)
+
+    evaluator.evaluate_full = counting
+
+    pairs = evaluator.evaluate(np.stack([first, second, first, first]))
+    assert computed == [2]
+    assert len(evaluator._cache) == 2
+    assert pairs[0] is pairs[2] is pairs[3]
+    assert pairs[0] != pairs[1]
+    assert evaluator.evaluate(np.stack([second, first])) == [pairs[1], pairs[0]]
+    assert evaluator.evaluate(first) == pairs[0]
+    assert computed == [2]  # cached genomes are not recomputed
+    fresh = FitnessEvaluator(layout, train, evals, 3, constrained=True)
+    assert pairs == [fresh.evaluate(g) for g in (first, second, first, first)]
+
+
+def test_evaluate_full_batch_matches_single_genomes():
+    rng = np.random.default_rng(19)
+    train = make_slides(rng, 5, 4, ["a", "b", "c"])
+    evals = make_slides(rng, 6, 4, ["a", "b", "c"], split="validation")
+    layout = build_layout(train)
+    genomes = np.stack([random_covered_genome(rng, layout) for _ in range(3)])
+    evaluator = FitnessEvaluator(layout, train, evals, 3)
+    batched = evaluator.evaluate_full(genomes)
+    assert isinstance(batched, list) and len(batched) == 3
+    for genome, (pair, cm) in zip(genomes, batched):
+        single_pair, single_cm = evaluator.evaluate_full(genome)
+        assert pair == single_pair
+        assert np.array_equal(cm.counts, single_cm.counts)
+
+
+def test_aggregate_batch_names_first_empty_segment_of_first_bad_row():
+    rng = np.random.default_rng(20)
+    slides = make_slides(rng, 4, 4, ["a", "b"])
+    layout = build_layout(slides)
+    genomes = np.ones((3, layout.total_patches), dtype=bool)
+    for row, seg in ((1, 2), (1, 3), (2, 0)):
+        _, offset, length = layout.segments[seg]
+        genomes[row, offset : offset + length] = False
+    with pytest.raises(CoverageViolation, match=r"segment 2 of genome 1 \(slide 'train2'\)"):
+        aggregate_selected(genomes, layout, slides)
+    evals = make_slides(rng, 2, 4, ["a", "b"], split="validation")
+    with pytest.raises(CoverageViolation, match="train2"):
+        FitnessEvaluator(layout, slides, evals, 1).evaluate(genomes)
+
+
+@pytest.mark.parametrize("shape", ["3d", "short", "long"])
+def test_batch_rejects_bad_genome_shapes(shape):
+    rng = np.random.default_rng(21)
+    slides = make_slides(rng, 3, 4, ["a", "b"])
+    evals = make_slides(rng, 2, 4, ["a", "b"], split="validation")
+    layout = build_layout(slides)
+    total = layout.total_patches
+    genome = {
+        "3d": np.ones((2, 1, total), dtype=bool),
+        "short": np.ones((2, total - 1), dtype=bool),
+        "long": np.ones(total + 1, dtype=bool),
+    }[shape]
+    evaluator = FitnessEvaluator(layout, slides, evals, 1)
+    with pytest.raises(ValueError, match="genome shape"):
+        aggregate_selected(genome, layout, slides)
+    with pytest.raises(ValueError, match="genome shape"):
+        evaluator.evaluate(genome)
+    with pytest.raises(ValueError, match="genome shape"):
+        evaluator.evaluate_full(genome)
