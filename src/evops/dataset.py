@@ -217,7 +217,7 @@ def load_dataset(manifest_path) -> SplitDataset:
         entries = manifest["slides"]
     except KeyError as exc:
         raise ManifestParseError(f"{manifest_path}: missing manifest key {exc}") from exc
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ManifestParseError(f"{manifest_path}: 'dim' must be a positive integer")
     if not isinstance(entries, list) or not entries:
         raise ManifestParseError(f"{manifest_path}: 'slides' must be a non-empty array")

@@ -70,11 +70,17 @@ class ReferenceLibrary:
 
     ``vectors`` is (S, dim), or (N, S, dim) for a batch of N genomes; the
     labels and slide ids are shared by every row of a batch.
+
+    ``query_distances``, when set, holds the expanded squared distances
+    (``expanded_sq_distances``) from the Q queries that ``knn_predict``
+    will be given to every vector, (Q, S) or (N, Q, S); the k-NN shortlist
+    then reads them instead of expanding again.
     """
 
     vectors: np.ndarray  # (S, dim) or (N, S, dim) float64
     labels: tuple[str, ...]
     slide_ids: tuple[str, ...]
+    query_distances: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.vectors.shape[-2]
@@ -141,21 +147,34 @@ def aggregate_selected(genome, layout, train_slides, stacked=None) -> ReferenceL
     )
 
 
+def _row_norms(vectors) -> np.ndarray:
+    """|v|^2 of every row along the last axis, one row at a time."""
+    flat = vectors.reshape(-1, vectors.shape[-1])
+    return np.einsum("ij,ij->i", flat, flat).reshape(vectors.shape[:-1])
+
+
 def expanded_sq_distances(queries, vectors, query_norms) -> np.ndarray:
     """(Q, n) squared Euclidean distances as |q|^2 - 2 q.v + |v|^2.
 
-    ``query_norms`` holds each query's |q|^2. One matrix product, so fast;
-    but rounding may split a tie between two equidistant rows, which the
-    difference form would keep.
+    ``vectors`` is (n, dim), or (N, n, dim) for a batch of N genomes'
+    libraries, giving (N, Q, n). ``query_norms`` holds each query's |q|^2.
+    A batch is N stacked products of the same (Q, dim) query matrix with
+    each genome's (dim, n) vectors, the shape one genome gets alone: a
+    GEMM row's bits can depend on how many rows the product has, so a
+    product is never widened to (Q, N * n), and no query row is added to
+    or dropped from it, to keep every genome's bits independent of its
+    batch. One matrix product, so fast; but rounding may split a tie
+    between two equidistant rows, which the difference form would keep.
     """
-    dists = (-2.0 * queries) @ vectors.T
+    dists = (-2.0 * queries) @ vectors.swapaxes(-1, -2)
     dists += query_norms[:, None]
-    dists += np.einsum("ij,ij->i", vectors, vectors)
+    dists += _row_norms(vectors)[..., None, :]
     return dists
 
 
-# Up to this many difference cells (query, row, dim), nearest_rows scores
-# every row from differences; above it, the expansion shortlists first.
+# Up to this many difference cells (query, row, dim) per genome,
+# nearest_rows scores every row from differences; above it, the expansion
+# shortlists first.
 _EXACT_CELLS = 1 << 15
 # Rows whose expanded distance lies within this share of |q|^2 + max |v|^2
 # of the k-th smallest are re-scored exactly. The expansion's rounding error
@@ -163,29 +182,51 @@ _EXACT_CELLS = 1 << 15
 _RESCORE_MARGIN = 1e-9
 
 
-def nearest_rows(queries, vectors, k) -> np.ndarray:
+def nearest_rows(queries, vectors, k, approx=None) -> np.ndarray:
     """(Q, min(k, n)) indices of each query's nearest rows, nearest first.
 
-    Ordered by squared distance computed from explicit differences, ties to
-    the lower row index. On large inputs the expansion only shortlists:
-    every row near enough to the k-th expanded distance is re-scored from
-    differences.
+    ``vectors`` is (n, dim), or (N, n, dim) for a batch of N genomes,
+    giving (N, Q, min(k, n)). Ordered by squared distance computed from
+    explicit differences, ties to the lower row index. When a genome has
+    at most ``_EXACT_CELLS`` (query, row, dim) cells every row is scored
+    from differences. Otherwise the expansion only shortlists: every row
+    near enough to the k-th expanded distance is re-scored from
+    differences. ``approx`` may pass those expanded distances, shaped as
+    the result of ``expanded_sq_distances``; any rounding of them well
+    inside ``_RESCORE_MARGIN`` gives the same rows.
     """
-    k = min(k, vectors.shape[0])
-    if queries.shape[0] * vectors.size <= _EXACT_CELLS:
-        diffs = queries[:, None, :] - vectors[None, :, :]
+    n, dim = vectors.shape[-2:]
+    k = min(k, n)
+    batch = vectors.reshape(-1, n, dim)
+    n_queries = queries.shape[0]
+    if n_queries * n * dim <= _EXACT_CELLS:
+        diffs = queries[:, None, :] - batch[:, None, :, :]
+        diffs = diffs.reshape(-1, n, dim)
         exact = np.einsum("qij,qij->qi", diffs, diffs)
-        return np.argsort(exact, axis=1, kind="stable")[:, :k]
+        nearest = np.argsort(exact, axis=1, kind="stable")[:, :k]
+        return nearest.reshape(vectors.shape[:-2] + (n_queries, k))
     norms = np.einsum("ij,ij->i", queries, queries)
-    approx = expanded_sq_distances(queries, vectors, norms)
-    kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
-    scale = norms + np.einsum("ij,ij->i", vectors, vectors).max()
-    rows, cols = np.nonzero(approx <= (kth + _RESCORE_MARGIN * scale)[:, None])
-    diffs = queries[rows] - vectors[cols]
+    if approx is None:
+        approx = expanded_sq_distances(queries, batch, norms)
+    approx = approx.reshape(-1, n_queries, n)
+    kth = np.partition(approx, k - 1, axis=-1)[..., k - 1]
+    scale = norms + _row_norms(batch).max(axis=-1)[:, None]
+    near = approx <= (kth + _RESCORE_MARGIN * scale)[..., None]
+    # Candidates in (genome, query, row) order; a cell is one (genome, query).
+    cell, cols = np.divmod(np.flatnonzero(near), n)
+    diffs = batch.reshape(-1, dim)[cell // n_queries * n + cols]
+    diffs -= queries[cell % n_queries]  # (v - q)**2 has the bits of (q - v)**2
     exact = np.einsum("ij,ij->i", diffs, diffs)
-    order = np.lexsort((cols, exact, rows))  # by query, then distance, then row
-    starts = np.searchsorted(rows[order], np.arange(queries.shape[0]))
-    return cols[order][starts[:, None] + np.arange(k)]
+    # Each cell's candidates in one row, padded with +inf past its count;
+    # a stable sort of short rows keeps tied distances in row order (one
+    # stable sort of every candidate at once costs more than linear time).
+    counts = np.bincount(cell, minlength=len(approx) * n_queries)
+    starts = np.cumsum(counts) - counts
+    padded = np.full((len(counts), counts.max()), np.inf)
+    padded[cell, np.arange(len(cell)) - starts[cell]] = exact
+    order = np.argsort(padded, axis=1, kind="stable")[:, :k]
+    nearest = cols[starts[:, None] + order]
+    return nearest.reshape(vectors.shape[:-2] + (n_queries, k))
 
 
 @functools.lru_cache(maxsize=16)
@@ -198,8 +239,11 @@ def knn_predict(query, library: ReferenceLibrary, k: int):
     """Majority-vote label of the k nearest library rows (squared Euclidean).
 
     ``query`` is one vector, giving one label, or a (Q, dim) matrix, giving
-    a list of Q labels. Distance ties resolve to the lower row index; vote
-    ties resolve to the label of the nearest neighbor among the tied classes.
+    a list of Q labels. A batch library of N genomes gives an array of N
+    labels, or of (N, Q) labels. Distance ties resolve to the lower row
+    index; vote ties resolve to the label of the nearest neighbor among
+    the tied classes. The library's ``query_distances``, when set, must
+    belong to these queries.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -207,14 +251,17 @@ def knn_predict(query, library: ReferenceLibrary, k: int):
         raise ValueError("library is empty")
     queries = np.asarray(query, dtype=np.float64)
     names, codes = _label_codes(tuple(library.labels))
-    neighbors = codes[nearest_rows(np.atleast_2d(queries), library.vectors, k)]
+    nearest = nearest_rows(np.atleast_2d(queries), library.vectors, k, library.query_distances)
+    neighbors = codes[nearest].reshape(-1, nearest.shape[-1])
     rows = np.arange(neighbors.shape[0])[:, None]
     votes = np.bincount((rows * len(names) + neighbors).ravel(), minlength=rows.size * len(names))
     votes = votes.reshape(rows.size, len(names))
     tied = votes == votes.max(axis=1, keepdims=True)
     nearest_tied = neighbors[rows[:, 0], np.argmax(tied[rows, neighbors], axis=1)]
-    labels = names[nearest_tied].tolist()
-    return labels[0] if queries.ndim == 1 else labels
+    labels = names[nearest_tied].reshape(nearest.shape[:-1])
+    if queries.ndim == 1:
+        labels = labels[..., 0]
+    return labels if library.vectors.ndim == 3 else labels.tolist()
 
 
 def _lost_pairs(dists, same_bit, same_before) -> np.ndarray:
@@ -231,44 +278,67 @@ def _lost_pairs(dists, same_bit, same_before) -> np.ndarray:
     keys = dists.view(np.uint64)
     keys <<= np.uint64(1)
     keys |= same_bit
-    keys.sort(axis=1)
+    keys.sort(axis=-1)
     keys &= np.uint64(1)
     # A same-class entry has every nearer or tied other-class entry before
     # it; the same-class entries before it add up to n(n-1)/2 over the row.
-    return keys @ np.arange(keys.shape[1], dtype=np.uint64) - same_before
+    return keys @ np.arange(keys.shape[-1], dtype=np.uint64) - same_before
 
 
 def confusion_matrix(true_labels, predicted_labels, classes) -> ConfusionMatrix:
-    """Tally counts[true, predicted]; labels must come from ``classes``."""
-    if len(true_labels) != len(predicted_labels):
+    """Tally counts[true, predicted]; labels must come from ``classes``.
+
+    ``predicted_labels`` is one list of labels, giving (C, C) counts, or an
+    (N, Q) array of N genomes' predictions for the same Q true labels,
+    giving (N, C, C); every count comes from one ``bincount``. The
+    LabelError names the first label outside ``classes`` in the first
+    genome that has one, the true label before the predicted one.
+    """
+    predicted = np.asarray(predicted_labels, dtype=object)
+    if predicted.shape[-1:] != (len(true_labels),):
         raise ValueError("label lists differ in length")
-    if not true_labels:
+    if not len(true_labels):
         raise ValueError("label lists are empty")
     index = {label: i for i, label in enumerate(classes)}
-    counts = [[0] * len(classes) for _ in classes]
-    for t, p in zip(true_labels, predicted_labels):
-        if t not in index:
-            raise LabelError(f"true label '{t}' not in class list")
-        if p not in index:
-            raise LabelError(f"predicted label '{p}' not in class list")
-        counts[index[t]][index[p]] += 1
-    return ConfusionMatrix(classes=tuple(classes), counts=np.array(counts, dtype=np.int64))
+    truth = [index.get(t, -1) for t in true_labels]
+    guess = [index.get(p, -1) for p in predicted.flat]
+    if -1 in truth or -1 in guess:
+        first = guess.index(-1) if -1 in guess else len(guess)
+        if -1 in truth and truth.index(-1) <= first:
+            raise LabelError(f"true label '{true_labels[truth.index(-1)]}' not in class list")
+        raise LabelError(f"predicted label '{predicted.flat[first]}' not in class list")
+    n_genomes, n_classes = predicted.size // len(truth), len(classes)
+    cells = np.array(guess).reshape(n_genomes, -1) + np.array(truth) * n_classes
+    cells += np.arange(0, n_genomes * n_classes**2, n_classes**2)[:, None]
+    counts = np.bincount(cells.ravel(), minlength=n_genomes * n_classes**2)
+    counts = counts.astype(np.int64, copy=False).reshape(n_genomes, n_classes, n_classes)
+    if predicted.ndim == 1:
+        counts = counts[0]
+    return ConfusionMatrix(classes=tuple(classes), counts=counts)
 
 
-def weighted_f1_from_confusion(cm: ConfusionMatrix) -> float:
-    """Support-weighted mean of per-class F1; zero-denominator terms are 0."""
-    counts = cm.counts.tolist()
-    total = sum(map(sum, counts))
-    score = 0.0
-    for c, row in enumerate(counts):
-        tp = row[c]
-        support = sum(row)
-        predicted = sum(r[c] for r in counts)
-        precision = tp / predicted if predicted > 0 else 0.0
-        recall = tp / support if support > 0 else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-        score += (support / total) * f1
-    return float(score)
+def weighted_f1_from_confusion(cm: ConfusionMatrix):
+    """Support-weighted mean of per-class F1; zero-denominator terms are 0.
+
+    (C, C) counts give a float; a batch's (N, C, C) give an (N,) array.
+    Every genome's terms are computed elementwise and summed class by
+    class in order, so each genome has the bits it gets alone.
+    """
+    counts = np.asarray(cm.counts)
+    tp = np.diagonal(counts, axis1=-2, axis2=-1)
+    support = counts.sum(axis=-1)
+    predicted = counts.sum(axis=-2)
+    # tp is 0 wherever nothing is predicted or supported, so a zero
+    # denominator may be replaced by 1; so may precision + recall where
+    # both are 0.
+    precision = tp / np.maximum(predicted, 1)
+    recall = tp / np.maximum(support, 1)
+    both = precision + recall
+    f1 = 2 * precision * recall / np.where(both > 0, both, 1.0)
+    terms = (support / support.sum(axis=-1, keepdims=True)) * f1
+    # accumulate adds the classes one after another, as a scalar loop does.
+    score = np.add.accumulate(terms, axis=-1)[..., -1]
+    return float(score) if counts.ndim == 2 else score
 
 
 def weighted_f1(true_labels, predicted_labels, classes) -> float:
@@ -280,8 +350,16 @@ def weighted_f1(true_labels, predicted_labels, classes) -> float:
 
 # evaluate_full aggregates a batch in blocks of rows holding at most this
 # many library values (1 MiB of float64), so the memory a batch adds is
-# bounded whatever its size.
+# bounded whatever its size. Each block reads the whole training matrix.
 _LIBRARY_CELLS = 1 << 17
+# Each library block is scored in blocks of genomes whose k-NN and AUC work
+# arrays hold at most about this many float64 values (2 MiB): per genome
+# its AUC distance matrix, the k-NN's (queries x S) distances and the rows
+# it scores from differences (k shortlisted rows per query, or every row,
+# times dim). Bigger blocks save per-call overhead while they fit the
+# cache; a 300-slide cohort's AUC matrix alone is 380 x 300 values, and
+# there two or more genomes per block were no faster than one.
+_SCORING_CELLS = 1 << 18
 
 
 class FitnessEvaluator:
@@ -347,6 +425,9 @@ class FitnessEvaluator:
         self._self_cells = (np.cumsum(keep)[n_eval + left_out] - 1, left_out)
         # The AUC is 1 minus the mean over queries of lost / pairs.
         self._lost_weights = 1.0 / ((n_same * n_other)[keep] * keep.sum())
+        # The k-NN queries are the first rows of the retrieval queries unless
+        # one was dropped.
+        self._shares_queries = bool(keep[:n_eval].all())
 
     def retrieval_auc(self, genome) -> float:
         """Mean over queries of the share of library pairs ranked right.
@@ -360,21 +441,42 @@ class FitnessEvaluator:
         use ``expanded_sq_distances``.
         """
         library = aggregate_selected(genome, self.layout, self.train_slides, self._stacked)
-        return self._library_auc(library)
+        return self._library_auc(self._retrieval_distances(library.vectors))
 
-    def _library_auc(self, library: ReferenceLibrary) -> float:
-        if not len(self._retrieval_queries):
-            return 0.0
-        dists = expanded_sq_distances(self._retrieval_queries, library.vectors,
-                                      self._retrieval_norms)
+    def _retrieval_distances(self, vectors) -> np.ndarray:
+        return expanded_sq_distances(self._retrieval_queries, vectors, self._retrieval_norms)
+
+    def _library_auc(self, dists):
+        """``retrieval_auc`` from the retrieval queries' expanded distances.
+
+        ``dists`` are one library's (Q, S) distances, giving a float, or a
+        batch's (N, Q, S), giving a list of N; they are overwritten. Each
+        genome's distances are one product of its own shape (see
+        ``expanded_sq_distances``) and are never re-scored, so its AUC has
+        the same bits in any batch. Each AUC's last step is a dot product
+        of the genome's own row of lost pairs, which a matrix-vector
+        product could sum in another order.
+        """
         # Rounding can dip just below zero; _lost_pairs needs no sign bit.
         np.maximum(dists, 0.0, out=dists)
-        dists[self._self_cells] = np.inf
+        dists[(..., *self._self_cells)] = np.inf
         lost = _lost_pairs(dists, self._same_bit, self._same_before)
-        return 1.0 - float(lost @ self._lost_weights)
+        aucs = [
+            1.0 - float(row @ self._lost_weights) if row.size else 0.0  # no query: 0
+            for row in np.atleast_2d(lost)
+        ]
+        return aucs if dists.ndim == 3 else aucs[0]
 
     def _digest(self, genome: np.ndarray) -> bytes:
         return hashlib.blake2b(genome.tobytes(), digest_size=16).digest()
+
+    def _scoring_rows(self) -> int:
+        """Genomes per scoring block, from ``_SCORING_CELLS``."""
+        n, dim = self.layout.n_slides, self._stacked.shape[1]
+        n_eval = len(self._queries)
+        n_auc = 0 if self.reference_auc is None else len(self._retrieval_queries)
+        scored = n if n_eval * n * dim <= _EXACT_CELLS else min(self.k, n)
+        return max(1, _SCORING_CELLS // ((n_auc + n_eval) * n + n_eval * scored * dim))
 
     def evaluate_full(self, genome):
         """Both objectives plus the evaluation-split confusion matrix.
@@ -382,29 +484,47 @@ class FitnessEvaluator:
         ``genome`` is one (P,) genome, giving one (FitnessPair,
         ConfusionMatrix), or an (N, P) matrix, giving a list of N of them.
         The libraries of a matrix are aggregated a block of rows at a time,
-        at most ``_LIBRARY_CELLS`` library values per block; k-NN, scoring
-        and the retrieval AUC then run on each genome's library in turn.
+        at most ``_LIBRARY_CELLS`` library values per block. Each library
+        block is scored in blocks of genomes that fit ``_SCORING_CELLS``
+        work values, at least one: distances, k-NN, confusion counts,
+        weighted F1 and the retrieval AUC each run once on a whole block.
+        A constrained evaluator computes one expanded distance matrix per
+        genome for the AUC, and the k-NN shortlists from its evaluation
+        rows. A genome's bits do not depend on its block.
         """
         genomes = genome_matrix(genome, self.layout)
-        block_rows = max(1, _LIBRARY_CELLS // self._stacked.shape[1] // self.layout.n_slides)
+        library_rows = max(1, _LIBRARY_CELLS // self._stacked.shape[1] // self.layout.n_slides)
+        scoring_rows = self._scoring_rows()
         results = []
-        for start in range(0, len(genomes), block_rows):
-            block = genomes[start : start + block_rows]
+        for start in range(0, len(genomes), library_rows):
+            block = genomes[start : start + library_rows]
             library = aggregate_selected(block, self.layout, self.train_slides, self._stacked)
-            for row, vectors in zip(block, library.vectors):
-                row_library = replace(library, vectors=vectors)
-                predicted = knn_predict(self._queries, row_library, self.k)
-                cm = confusion_matrix(self._true_labels, predicted, self.classes)
-                violation = 0.0
-                if self.reference_auc is not None:
-                    violation = max(0.0, self.reference_auc - self._library_auc(row_library))
-                pair = FitnessPair(
-                    f1_fraction=int(row.sum()) / self.layout.total_patches,
-                    f2_error=1.0 - weighted_f1_from_confusion(cm),
-                    violation=violation,
-                )
-                results.append((pair, cm))
+            for part in range(0, len(block), scoring_rows):
+                rows = slice(part, part + scoring_rows)
+                part_library = replace(library, vectors=library.vectors[rows])
+                results += self._score_block(block[rows], part_library)
         return results if np.ndim(genome) == 2 else results[0]
+
+    def _score_block(self, block, library) -> list:
+        constrained = self.reference_auc is not None
+        if constrained:
+            dists = self._retrieval_distances(library.vectors)
+            if self._shares_queries:
+                library = replace(library, query_distances=dists[:, : len(self._queries)])
+        predicted = knn_predict(self._queries, library, self.k)
+        cms = confusion_matrix(self._true_labels, predicted, self.classes)
+        errors = 1.0 - weighted_f1_from_confusion(cms)
+        aucs = self._library_auc(dists) if constrained else None
+        results = []
+        for i, count in enumerate(block.sum(axis=1).tolist()):
+            violation = max(0.0, self.reference_auc - aucs[i]) if constrained else 0.0
+            pair = FitnessPair(
+                f1_fraction=count / self.layout.total_patches,
+                f2_error=float(errors[i]),
+                violation=violation,
+            )
+            results.append((pair, ConfusionMatrix(self.classes, cms.counts[i])))
+        return results
 
     def evaluate(self, genome):
         """Objectives only, with digest-keyed memoization.

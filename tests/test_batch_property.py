@@ -6,10 +6,14 @@ synthetic cohorts hold them. Their per-slide float64 sums are exact, so
 the batched aggregation must give the same bits whatever the batch.
 """
 
+from unittest import mock
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from evops import fitness
 from evops.dataset import SlideRecord, build_layout
 from evops.fitness import FitnessEvaluator, aggregate_selected
 from oracles import straight_line_fitness, straight_line_retrieval_auc
@@ -76,3 +80,61 @@ def test_batch_equals_rows_and_oracle(cohort):
         assert abs(pair.f2_error - error) <= 1e-9
         violation = reference - straight_line_retrieval_auc(row, layout, train, evals)
         assert abs(pair.violation - max(0.0, violation)) <= 1e-9
+
+
+def _no_train_slide_of_a_validation_class():
+    """A cohort whose validation class 'c' has no training slide, so the
+    retrieval drops that query and the k-NN expands on its own."""
+    rng = np.random.default_rng(11)
+    train = slides(rng, ["a", "b", "a", "b"], [3, 4, 2, 5], 3, "train")
+    evals = slides(rng, ["c", "a", "b"], [2, 3, 4], 3, "validation")
+    layout = build_layout(train)
+    genomes = rng.random((5, layout.total_patches)) < 0.5
+    for _, offset, length in layout.segments:
+        genomes[:, offset] = True
+    return train, evals, layout, genomes, 2
+
+
+def _bits(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+@pytest.mark.parametrize("exact_cells", [0, fitness._EXACT_CELLS], ids=["shortlist", "exact"])
+@pytest.mark.parametrize("block_cells", [1, 1 << 62], ids=["genome-blocks", "one-block"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(cohort=cohorts())
+@example(cohort=_no_train_slide_of_a_validation_class())
+def test_block_and_knn_path_match_single_genome_scoring(cohort, block_cells, exact_cells):
+    """Each k-NN path and block size gives every genome its single-genome bits.
+
+    The reference scores one genome at a time with an unconstrained
+    evaluator, whose k-NN expands on its own; a constrained evaluator's
+    k-NN shortlists from the retrieval distances instead.
+    """
+    train, evals, layout, genomes, k = cohort
+    classes = sorted({rec.label for rec in train + evals})
+    ones = np.ones(layout.total_patches, dtype=bool)
+    reference_auc = straight_line_retrieval_auc(ones, layout, train, evals)
+    with mock.patch.multiple(fitness, _EXACT_CELLS=exact_cells, _LIBRARY_CELLS=block_cells,
+                             _SCORING_CELLS=block_cells):
+        plain = FitnessEvaluator(layout, train, evals, k)
+        singles = [plain.evaluate_full(row) for row in genomes]
+        for constrained in (False, True):
+            evaluator = FitnessEvaluator(layout, train, evals, k, constrained=constrained)
+            batch = evaluator.evaluate_full(genomes)
+            for row, (pair, cm), (single, single_cm) in zip(genomes, batch, singles):
+                assert _bits(pair.f1_fraction, pair.f2_error) == _bits(
+                    single.f1_fraction, single.f2_error)
+                assert cm.counts.dtype == np.int64
+                assert cm.counts.tobytes() == single_cm.counts.tobytes()
+                fraction, error = straight_line_fitness(row, layout, train, evals, k, classes)
+                assert abs(pair.f1_fraction - fraction) <= 1e-9
+                assert abs(pair.f2_error - error) <= 1e-9
+                if constrained:
+                    alone = evaluator.evaluate_full(row)[0]
+                    assert _bits(pair.violation) == _bits(alone.violation)
+                    shortfall = reference_auc - straight_line_retrieval_auc(row, layout, train,
+                                                                            evals)
+                    assert abs(pair.violation - max(0.0, shortfall)) <= 1e-9
+                else:
+                    assert pair.violation == 0.0

@@ -260,3 +260,11 @@ def test_manifest_rows_must_be_a_non_negative_integer(tmp_path, rows):
     entries = [{"slide_id": "r", "label": "a", "split": "train", "path": "r.emb", "rows": rows}]
     with pytest.raises(ManifestParseError, match="slide 'r': 'rows'"):
         load_dataset(write_manifest(tmp_path, 2, entries))
+
+
+def test_manifest_dim_true_is_rejected(tmp_path):
+    # True is an int to isinstance, and would load one-column files as dim 1.
+    write_embedding_file(tmp_path / "d.emb", np.ones((2, 1), dtype=np.float32))
+    entries = [{"slide_id": "d", "label": "a", "split": "train", "path": "d.emb", "rows": 2}]
+    with pytest.raises(ManifestParseError, match="'dim' must be a positive integer"):
+        load_dataset(write_manifest(tmp_path, True, entries))

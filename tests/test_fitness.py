@@ -3,14 +3,17 @@ import pytest
 
 from evops.dataset import SlideRecord, build_layout, slide_mean_all
 from evops.fitness import (
+    ConfusionMatrix,
     CoverageViolation,
     FitnessEvaluator,
     LabelError,
     ReferenceLibrary,
     aggregate_selected,
+    confusion_matrix,
     evaluate_individual,
     knn_predict,
     weighted_f1,
+    weighted_f1_from_confusion,
 )
 from evops.synthgen import SynthConfig, generate
 from oracles import (
@@ -410,3 +413,58 @@ def test_batch_rejects_bad_genome_shapes(shape):
         evaluator.evaluate(genome)
     with pytest.raises(ValueError, match="genome shape"):
         evaluator.evaluate_full(genome)
+
+
+def test_batched_weighted_f1_matches_each_matrix_and_hand_oracle():
+    rng = np.random.default_rng(22)
+    classes = ("a", "b", "c", "d")
+    counts = rng.integers(0, 4, size=(60, 4, 4))
+    counts[::3, 1, :] = 0  # class b has no support
+    counts[::4, :, 2] = 0  # class c is never predicted
+    counts[::5, 3, :] = 0
+    counts[::5, :, 3] = 0  # class d is neither
+    counts[7] = 0
+    counts[:, 0, 0] += 1  # every matrix counts at least one slide
+    batched = weighted_f1_from_confusion(ConfusionMatrix(classes, counts))
+    assert batched.shape == (len(counts),)
+    for value, matrix in zip(batched, counts):
+        single = weighted_f1_from_confusion(ConfusionMatrix(classes, matrix))
+        assert isinstance(single, float)
+        assert float(value).hex() == single.hex()
+        pairs = [(t, p) for (i, t) in enumerate(classes) for (j, p) in enumerate(classes)
+                 for _ in range(matrix[i, j])]
+        true, pred = map(list, zip(*pairs))
+        assert abs(single - hand_weighted_f1(true, pred, classes)) <= 1e-12
+
+
+def test_batched_confusion_matrix_matches_each_row():
+    rng = np.random.default_rng(23)
+    classes = ["b", "a", "c"]  # not sorted: counts follow the list's order
+    true = [classes[i] for i in rng.integers(0, 3, size=9)]
+    predicted = np.array(classes)[rng.integers(0, 3, size=(5, 9))]
+    batch = confusion_matrix(true, predicted, classes)
+    assert batch.counts.shape == (5, 3, 3) and batch.counts.dtype == np.int64
+    for row, counts in zip(predicted, batch.counts):
+        assert np.array_equal(counts, confusion_matrix(true, row.tolist(), classes).counts)
+    bad = predicted.copy()
+    bad[3, 2] = "z"
+    bad[4, 0] = "y"
+    with pytest.raises(LabelError, match="predicted label 'z'"):
+        confusion_matrix(true, bad, classes)
+    with pytest.raises(LabelError, match="true label 'q'"):
+        confusion_matrix(true[:4] + ["q"] + true[5:], bad, classes)
+    with pytest.raises(ValueError, match="differ in length"):
+        confusion_matrix(true[:-1], predicted, classes)
+
+
+def test_block_path_raises_label_error_for_a_training_label_outside_classes():
+    rng = np.random.default_rng(24)
+    train = make_slides(rng, 4, 4, ["x"])
+    evals = make_slides(rng, 3, 4, ["a"], split="validation")
+    layout = build_layout(train)
+    genomes = np.stack([random_covered_genome(rng, layout) for _ in range(3)])
+    evaluator = FitnessEvaluator(layout, train, evals, 1, classes=["a"])
+    with pytest.raises(LabelError, match="predicted label 'x' not in class list"):
+        evaluator.evaluate_full(genomes)
+    with pytest.raises(LabelError, match="predicted label 'x' not in class list"):
+        evaluator.evaluate(genomes)
