@@ -3,6 +3,9 @@
 Exit codes: 0 success, 2 configuration error, 3 dataset error, 4 runtime
 failure. Progress goes to stderr; machine-readable output only to files.
 Flag values override config-file values, which override built-in defaults.
+Config keys are the field names of ``EvolutionConfig`` (less ``seed``, which
+``run --seeds`` sets) and of ``SynthConfig``; each config flag stores into the
+field of the same name (``--pop-size`` sets ``population_size``).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .dataset import (
     ManifestParseError,
     ValidationError,
     load_dataset,
+    write_json,
 )
 from .evolution import SEARCHES, EvolutionConfig, run_evolution
 from .pareto_report import (
@@ -79,48 +83,28 @@ def _load_config_file(path) -> dict:
     return data
 
 
-def _layered(file_values: dict, flag_values: dict, allowed: dict) -> dict:
-    """defaults <- config file <- flags; rejects unknown config keys."""
-    merged = dict(allowed)
-    for key, value in file_values.items():
-        if key not in allowed:
+def _config(cls, args, exclude=()):
+    """A validated ``cls``: defaults <- config file <- flags.
+
+    Flags carry ``dest=<field name>``, so the field names are the only list of
+    keys. Fields in ``exclude`` keep their defaults and are unknown config keys.
+    """
+    names = [f.name for f in fields(cls) if f.name not in exclude]
+    values = {}
+    for key, value in _load_config_file(args.config).items():
+        if key not in names:
             raise ConfigError(f"unknown config key '{key}'")
-        merged[key] = value
-    for key, value in flag_values.items():
+        values[key] = value
+    for name in names:
+        value = getattr(args, name, None)
         if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _validated(config):
-    """``config`` once its ``validate()`` passes; a ValueError becomes a ConfigError."""
+            values[name] = value
+    config = cls(**values)
     try:
         config.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config
-
-
-def _evolution_defaults() -> dict:
-    """Every EvolutionConfig field but the seed, which comes from --seeds."""
-    defaults = EvolutionConfig()
-    return {f.name: getattr(defaults, f.name) for f in fields(defaults) if f.name != "seed"}
-
-
-def _evolution_config(args) -> EvolutionConfig:
-    merged = _layered(
-        _load_config_file(args.config),
-        {
-            "population_size": args.pop_size,
-            "generations": args.generations,
-            "crossover_swap_p": args.swap_p,
-            "mutation_flip_p": args.flip_p,
-            "k_neighbors": args.k,
-            "search": args.search,
-        },
-        _evolution_defaults(),
-    )
-    return _validated(EvolutionConfig(**merged))
 
 
 def _run_one_seed(dataset, config, seed, out_dir):
@@ -145,7 +129,7 @@ def _run_one_seed(dataset, config, seed, out_dir):
 def cmd_run(args) -> int:
     dataset = load_dataset(args.dataset)
     dataset.require_runnable()
-    config = _evolution_config(args)
+    config = _config(EvolutionConfig, args, exclude=("seed",))
     seeds = parse_seeds(args.seeds)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -155,30 +139,8 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _synth_config(args) -> SynthConfig:
-    defaults = SynthConfig()
-    merged = _layered(
-        _load_config_file(args.config),
-        {
-            "classes": args.classes,
-            "train_slides_per_class": args.train_per_class,
-            "validation_slides_per_class": args.val_per_class,
-            "test_slides_per_class": args.test_per_class,
-            "patches_min": args.min_patches,
-            "patches_max": args.max_patches,
-            "informative_fraction": args.informative_fraction,
-            "dim": args.dim,
-            "class_separation": args.separation,
-            "noise_sigma": args.noise_sigma,
-            "seed": args.seed,
-        },
-        {f.name: getattr(defaults, f.name) for f in fields(defaults)},
-    )
-    return _validated(SynthConfig(**merged))
-
-
 def cmd_gen_synth(args) -> int:
-    config = _synth_config(args)
+    config = _config(SynthConfig, args)
     dataset = generate(config, out_dir=args.out)
     n_patches = sum(rec.rows for rec in dataset.slides)
     print(
@@ -190,12 +152,8 @@ def cmd_gen_synth(args) -> int:
 
 def cmd_baseline(args) -> int:
     dataset = load_dataset(args.dataset)
-    merged = _layered(
-        _load_config_file(args.config),
-        {"k_neighbors": args.k},
-        _evolution_defaults(),
-    )
-    baseline = compute_baseline(dataset, _validated(EvolutionConfig(**merged)).k_neighbors)
+    config = _config(EvolutionConfig, args, exclude=("seed",))
+    baseline = compute_baseline(dataset, config.k_neighbors)
     print(
         f"baseline: patch_count={baseline.patch_count}  "
         f"validation_f1={baseline.validation_f1:.6f}  "
@@ -204,10 +162,7 @@ def cmd_baseline(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "baseline.json", "w", encoding="utf-8",
-                  newline="\n") as fh:
-            json.dump(baseline_scores(baseline), fh, indent=2)
-            fh.write("\n")
+        write_json(out_dir / "baseline.json", baseline_scores(baseline))
         write_confusion_csv(out_dir / "confusion_val_baseline.csv",
                          baseline.validation_confusion)
         write_confusion_csv(out_dir / "confusion_test_baseline.csv",
@@ -233,36 +188,36 @@ def build_parser() -> argparse.ArgumentParser:
                      help="accepted for compatibility; evaluation runs serially")
     run.add_argument("--parallel-seeds", type=int, default=1,
                      help="accepted for compatibility; seeds run one after another")
-    run.add_argument("--generations", type=int, default=None)
-    run.add_argument("--pop-size", type=int, default=None)
-    run.add_argument("--swap-p", type=float, default=None)
-    run.add_argument("--flip-p", type=float, default=None)
-    run.add_argument("--k", type=int, default=None)
-    run.add_argument("--search", choices=SEARCHES, default=None,
+    run.add_argument("--generations", dest="generations", type=int)
+    run.add_argument("--pop-size", dest="population_size", type=int)
+    run.add_argument("--swap-p", dest="crossover_swap_p", type=float)
+    run.add_argument("--flip-p", dest="mutation_flip_p", type=float)
+    run.add_argument("--k", dest="k_neighbors", type=int)
+    run.add_argument("--search", dest="search", choices=SEARCHES,
                      help="'guided' (default) or the published method, 'paper'")
     run.set_defaults(func=cmd_run)
 
     gen = sub.add_parser("gen-synth", help="generate a synthetic cohort")
     gen.add_argument("--out", required=True, help="output dataset directory")
     gen.add_argument("--config", default=None, help="JSON config file")
-    gen.add_argument("--classes", type=int, default=None)
-    gen.add_argument("--train-per-class", type=int, default=None)
-    gen.add_argument("--val-per-class", type=int, default=None)
-    gen.add_argument("--test-per-class", type=int, default=None)
-    gen.add_argument("--min-patches", type=int, default=None)
-    gen.add_argument("--max-patches", type=int, default=None)
-    gen.add_argument("--informative-fraction", type=float, default=None)
-    gen.add_argument("--dim", type=int, default=None)
-    gen.add_argument("--separation", type=float, default=None)
-    gen.add_argument("--noise-sigma", type=float, default=None)
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--classes", dest="classes", type=int)
+    gen.add_argument("--train-per-class", dest="train_slides_per_class", type=int)
+    gen.add_argument("--val-per-class", dest="validation_slides_per_class", type=int)
+    gen.add_argument("--test-per-class", dest="test_slides_per_class", type=int)
+    gen.add_argument("--min-patches", dest="patches_min", type=int)
+    gen.add_argument("--max-patches", dest="patches_max", type=int)
+    gen.add_argument("--informative-fraction", dest="informative_fraction", type=float)
+    gen.add_argument("--dim", dest="dim", type=int)
+    gen.add_argument("--separation", dest="class_separation", type=float)
+    gen.add_argument("--noise-sigma", dest="noise_sigma", type=float)
+    gen.add_argument("--seed", dest="seed", type=int)
     gen.set_defaults(func=cmd_gen_synth)
 
     base = sub.add_parser("baseline", help="score the all-patches reference")
     base.add_argument("--dataset", required=True, help="dataset dir or manifest path")
     base.add_argument("--out", default=None, help="optional output directory")
     base.add_argument("--config", default=None, help="JSON config file (k_neighbors)")
-    base.add_argument("--k", type=int, default=None)
+    base.add_argument("--k", dest="k_neighbors", type=int)
     base.set_defaults(func=cmd_baseline)
     return parser
 

@@ -188,6 +188,16 @@ def write_embedding_file(path, embeddings: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
+def write_json(path, value, indent=2) -> None:
+    """Write ``value`` as UTF-8 JSON with ``\\n`` line ends and a final newline.
+
+    ``indent=None`` writes it on one line.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(value, fh, indent=indent)
+        fh.write("\n")
+
+
 def _manifest_path(path) -> Path:
     path = Path(path)
     return path / "manifest.json" if path.is_dir() else path
@@ -293,9 +303,7 @@ def write_dataset(dataset: SplitDataset, out_dir) -> Path:
         "slides": entries,
     }
     manifest_path = out_dir / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(manifest_path, manifest)
     return manifest_path
 
 

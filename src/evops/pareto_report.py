@@ -9,13 +9,12 @@ downstream tooling (no plotting here).
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import GenomeLayout, SplitDataset, build_layout
+from .dataset import GenomeLayout, SplitDataset, build_layout, write_json
 from .evolution import EvolutionConfig, GenerationTrace, fast_non_dominated_sort
 from .fitness import ConfusionMatrix, FitnessEvaluator
 
@@ -322,16 +321,15 @@ def export_report(report: RunReport, out_dir) -> Path:
 
     selections_dir = out_dir / "selections"
     selections_dir.mkdir(exist_ok=True)
+    for stale in selections_dir.glob("*.json"):  # a rerun's front may be smaller
+        stale.unlink()
     for idx, sol in enumerate(report.front):
         selection = {
             slide_id: np.flatnonzero(sol.genome[off : off + length]).tolist()
             for slide_id, (_, off, length) in zip(report.train_slide_ids,
                                                   report.layout.segments)
         }
-        with open(selections_dir / f"{idx}.json", "w", encoding="utf-8",
-                  newline="\n") as fh:
-            json.dump(selection, fh)
-            fh.write("\n")
+        write_json(selections_dir / f"{idx}.json", selection, indent=None)
 
     named = {
         "baseline": report.baseline,
@@ -353,16 +351,12 @@ def export_report(report: RunReport, out_dir) -> Path:
         ],
     )
 
-    with open(out_dir / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report_summary(report), fh, indent=2)
-        fh.write("\n")
+    write_json(out_dir / "summary.json", report_summary(report))
     return out_dir
 
 
 def export_aggregate(aggregate: AggregateReport, path) -> Path:
     """Write the cross-seed aggregate as JSON."""
     path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(asdict(aggregate), fh, indent=2)
-        fh.write("\n")
+    write_json(path, asdict(aggregate))
     return path

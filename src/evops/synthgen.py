@@ -10,14 +10,14 @@ slide, so ground truth is recoverable by row index.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import SlideRecord, SplitDataset, check_number_fields, make_dataset, write_dataset
+from .dataset import (SlideRecord, SplitDataset, check_number_fields, make_dataset,
+                      write_dataset, write_json)
 
 
 @dataclass
@@ -111,11 +111,8 @@ def generate(config: SynthConfig, out_dir=None) -> SplitDataset:
     dataset = make_dataset(slides["train"], slides["validation"], slides["test"])
     if out_dir is not None:
         write_dataset(dataset, out_dir)
-        truth_path = Path(out_dir) / "ground_truth.json"
-        with open(truth_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(ground_truth_indices(dataset, config.informative_fraction),
-                      fh, indent=2)
-            fh.write("\n")
+        write_json(Path(out_dir) / "ground_truth.json",
+                   ground_truth_indices(dataset, config.informative_fraction))
     return dataset
 
 

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from evops import cli
 from evops.cli import ConfigError, main, parse_seeds
 from evops.dataset import load_dataset
+from evops.synthgen import SynthConfig
 
 
 def run_cli(*args):
@@ -233,3 +235,78 @@ def test_gen_synth_rejects_non_finite_exit_2(tmp_path, capsys, flag, field, valu
     assert code == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_run_flags_reach_summary_config(small_ds, tmp_path):
+    code = run_cli("run", "--dataset", small_ds, "--out", tmp_path, "--seeds", "1",
+                   "--generations", "1", "--pop-size", "6", "--swap-p", "0.5",
+                   "--flip-p", "0.125", "--k", "2", "--search", "paper")
+    assert code == 0
+    summary = json.loads((tmp_path / "seed_1" / "summary.json").read_text())
+    assert summary["config"] == {
+        "population_size": 6, "generations": 1, "crossover_swap_p": 0.5,
+        "mutation_flip_p": 0.125, "k_neighbors": 2, "seed": 1, "search": "paper",
+    }
+
+
+# Distinct non-default values, so a flag stored into the wrong field shows.
+SYNTH_FLAGS = {
+    "--classes": ("classes", 5),
+    "--train-per-class": ("train_slides_per_class", 3),
+    "--val-per-class": ("validation_slides_per_class", 1),
+    "--test-per-class": ("test_slides_per_class", 4),
+    "--min-patches": ("patches_min", 2),
+    "--max-patches": ("patches_max", 7),
+    "--informative-fraction": ("informative_fraction", 0.5),
+    "--dim": ("dim", 6),
+    "--separation": ("class_separation", 2.5),
+    "--noise-sigma": ("noise_sigma", 0.75),
+    "--seed": ("seed", 9),
+}
+
+
+def test_gen_synth_flags_reach_synth_config(tmp_path, monkeypatch):
+    configs = []
+    generate = cli.generate
+
+    def recording_generate(config, out_dir=None):
+        configs.append(config)
+        return generate(config, out_dir)
+
+    monkeypatch.setattr(cli, "generate", recording_generate)
+    argv = [arg for flag, (_, value) in SYNTH_FLAGS.items() for arg in (flag, value)]
+    assert run_cli("gen-synth", "--out", tmp_path / "x", *argv) == 0
+    assert configs == [SynthConfig(**dict(SYNTH_FLAGS.values()))]
+
+
+@pytest.mark.parametrize("config, flags, k", [({"k_neighbors": 4}, ["--k", "3"], 3),
+                                               ({"k_neighbors": 4}, [], 4),
+                                               ({}, [], 5)])
+def test_baseline_k_flag_beats_config_file(small_ds, tmp_path, monkeypatch, config, flags, k):
+    seen = []
+    compute_baseline = cli.compute_baseline
+
+    def recording_compute_baseline(dataset, k_neighbors):
+        seen.append(k_neighbors)
+        return compute_baseline(dataset, k_neighbors)
+
+    monkeypatch.setattr(cli, "compute_baseline", recording_compute_baseline)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert run_cli("baseline", "--dataset", small_ds, "--config", config_path, *flags) == 0
+    assert seen == [k]
+
+
+def test_json_artifacts_keep_their_bytes(small_ds, tmp_path):
+    """Indent 2 and a final newline; selections are one line."""
+    assert run_cli("run", "--dataset", small_ds, "--out", tmp_path / "r",
+                   "--seeds", "1..2", "--pop-size", "6", "--generations", "2") == 0
+    assert run_cli("baseline", "--dataset", small_ds, "--out", tmp_path / "b") == 0
+    paths = [small_ds / "manifest.json", small_ds / "ground_truth.json",
+             *sorted(tmp_path.rglob("*.json"))]
+    assert {"summary.json", "aggregate.json", "baseline.json"} <= {p.name for p in paths}
+    assert any(p.parent.name == "selections" for p in paths)
+    for path in paths:
+        text = path.read_bytes().decode("utf-8")
+        indent = None if path.parent.name == "selections" else 2
+        assert text == json.dumps(json.loads(text), indent=indent) + "\n", path

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -259,6 +260,15 @@ def test_export_selections_reproduce_patch_counts(planted_run, tmp_path):
         assert sum(len(v) for v in selection.values()) == sol.patch_count
         for slide_id, indices in selection.items():
             assert len(indices) == sol.per_slide_counts[slide_id]
+
+
+def test_export_removes_stale_selections(planted_run, tmp_path):
+    _, _, _, _, report = planted_run
+    wide = replace(report, front=[report.front[0]] * 3, best_val=0, best_test=0)
+    export_report(wide, tmp_path)
+    assert len(list((tmp_path / "selections").iterdir())) == 3
+    export_report(replace(wide, front=wide.front[:1]), tmp_path)
+    assert [p.name for p in (tmp_path / "selections").iterdir()] == ["0.json"]
 
 
 def test_export_confusion_and_trace_files(planted_run, tmp_path):
