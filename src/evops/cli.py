@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
+import shutil
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -133,6 +135,13 @@ def cmd_run(args) -> int:
     seeds = parse_seeds(args.seeds)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # An earlier run's other seeds and aggregate must not pass for part of
+    # this run's result, also when this run is killed before it finishes.
+    kept = {f"seed_{s}" for s in seeds}
+    for path in out_dir.iterdir():
+        if path.is_dir() and re.fullmatch(r"seed_-?\d+", path.name) and path.name not in kept:
+            shutil.rmtree(path)
+    (out_dir / "aggregate.json").unlink(missing_ok=True)
 
     reports = [_run_one_seed(dataset, config, s, out_dir) for s in seeds]
     export_aggregate(aggregate_runs(reports), out_dir / "aggregate.json")

@@ -304,6 +304,12 @@ def write_dataset(dataset: SplitDataset, out_dir) -> Path:
     }
     manifest_path = out_dir / "manifest.json"
     write_json(manifest_path, manifest)
+    # A rerun into the same directory must not leave an earlier cohort's
+    # embedding files beside a manifest that no longer names them.
+    named = {entry["path"] for entry in entries}
+    for path in out_dir.glob("*.emb"):
+        if path.name not in named:
+            path.unlink()
     return manifest_path
 
 

@@ -356,10 +356,11 @@ def run_evolution(dataset: SplitDataset, config: EvolutionConfig, workers=1,
     """Evolve patch subsets against the validation split.
 
     ``config.search`` picks the published search or the guided one (see the
-    module docstring). Returns (final population, per-generation traces). Trace 0 describes the
-    evaluated initial population. ``on_generation`` receives each trace as
-    it is produced. Deterministic in (dataset, config.seed). ``workers`` has
-    no effect; genomes are evaluated serially, which beat a thread pool.
+    module docstring). Returns (final population, per-generation traces).
+    Trace 0 describes the evaluated initial population. ``on_generation``
+    receives each trace as it is produced. Deterministic in (dataset,
+    config.seed). ``workers`` has no effect; genomes are evaluated
+    serially, which beat a thread pool.
     """
     config.validate()
     if not dataset.train:

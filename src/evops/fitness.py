@@ -12,6 +12,10 @@ A constrained evaluator also scores a genome's retrieval AUC (see
 all-patches library's as a constraint violation; the objectives are the
 same either way.
 
+Labels may be any sortable hashable values. The evaluator encodes its
+slides' labels once as class indices (``class_codes``) and passes those to
+``knn_predict``, so it votes, tallies and scores without building labels.
+
 All operations here are pure functions of immutable inputs; means and
 distances accumulate in double precision.
 """
@@ -69,7 +73,9 @@ class ReferenceLibrary:
     """One aggregated vector per represented training slide, with provenance.
 
     ``vectors`` is (S, dim), or (N, S, dim) for a batch of N genomes; the
-    labels and slide ids are shared by every row of a batch.
+    labels and slide ids are shared by every row of a batch. ``labels`` may
+    be any sortable hashable values; ``aggregate_selected`` gives the
+    slides' labels, and ``FitnessEvaluator`` replaces them with class indices.
 
     ``query_distances``, when set, holds the expanded squared distances
     (``expanded_sq_distances``) from the Q queries that ``knn_predict``
@@ -78,7 +84,7 @@ class ReferenceLibrary:
     """
 
     vectors: np.ndarray  # (S, dim) or (N, S, dim) float64
-    labels: tuple[str, ...]
+    labels: tuple
     slide_ids: tuple[str, ...]
     query_distances: np.ndarray | None = None
 
@@ -243,7 +249,8 @@ def knn_predict(query, library: ReferenceLibrary, k: int):
     labels, or of (N, Q) labels. Distance ties resolve to the lower row
     index; vote ties resolve to the label of the nearest neighbor among
     the tied classes. The library's ``query_distances``, when set, must
-    belong to these queries.
+    belong to these queries. Labels are returned as the library holds them,
+    so class-index labels give class indices.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -285,6 +292,45 @@ def _lost_pairs(dists, same_bit, same_before) -> np.ndarray:
     return keys @ np.arange(keys.shape[-1], dtype=np.uint64) - same_before
 
 
+def class_codes(labels, names) -> tuple[np.ndarray, tuple]:
+    """Each label's index in ``names``, and ``names`` extended to cover them.
+
+    A label outside ``names`` gets an index at or past ``len(names)``,
+    assigned in order of first appearance and appended to the returned
+    names, so every index names its label.
+    """
+    names = list(names)
+    index = {name: i for i, name in enumerate(names)}
+    codes = []
+    for label in labels:
+        if label not in index:
+            index[label] = len(names)
+            names.append(label)
+        codes.append(index[label])
+    return np.array(codes, dtype=np.intp), tuple(names)
+
+
+def _tally(truth, guess, names, n_classes) -> np.ndarray:
+    """(N, C, C) counts[n, true, predicted] from one ``bincount``.
+
+    ``truth`` holds Q class indices and ``guess`` N genomes' (N, Q)
+    predictions, both indexing ``names`` (see ``class_codes``). An index at
+    or past ``n_classes`` raises the LabelError for the first such label of
+    the first genome that has one, the true label before the predicted one.
+    """
+    bad_truth = truth >= n_classes
+    bad = bad_truth | (guess >= n_classes)
+    if bad.any():
+        row, q = np.argwhere(bad)[0]
+        kind, code = ("true", truth[q]) if bad_truth[q] else ("predicted", guess[row, q])
+        raise LabelError(f"{kind} label '{names[code]}' not in class list")
+    n_genomes = len(guess)
+    cells = guess + truth * n_classes
+    cells += np.arange(0, n_genomes * n_classes**2, n_classes**2)[:, None]
+    counts = np.bincount(cells.ravel(), minlength=n_genomes * n_classes**2)
+    return counts.astype(np.int64, copy=False).reshape(n_genomes, n_classes, n_classes)
+
+
 def confusion_matrix(true_labels, predicted_labels, classes) -> ConfusionMatrix:
     """Tally counts[true, predicted]; labels must come from ``classes``.
 
@@ -295,26 +341,16 @@ def confusion_matrix(true_labels, predicted_labels, classes) -> ConfusionMatrix:
     genome that has one, the true label before the predicted one.
     """
     predicted = np.asarray(predicted_labels, dtype=object)
-    if predicted.shape[-1:] != (len(true_labels),):
+    n_true = len(true_labels)
+    if predicted.shape[-1:] != (n_true,):
         raise ValueError("label lists differ in length")
-    if not len(true_labels):
+    if not n_true:
         raise ValueError("label lists are empty")
-    index = {label: i for i, label in enumerate(classes)}
-    truth = [index.get(t, -1) for t in true_labels]
-    guess = [index.get(p, -1) for p in predicted.flat]
-    if -1 in truth or -1 in guess:
-        first = guess.index(-1) if -1 in guess else len(guess)
-        if -1 in truth and truth.index(-1) <= first:
-            raise LabelError(f"true label '{true_labels[truth.index(-1)]}' not in class list")
-        raise LabelError(f"predicted label '{predicted.flat[first]}' not in class list")
-    n_genomes, n_classes = predicted.size // len(truth), len(classes)
-    cells = np.array(guess).reshape(n_genomes, -1) + np.array(truth) * n_classes
-    cells += np.arange(0, n_genomes * n_classes**2, n_classes**2)[:, None]
-    counts = np.bincount(cells.ravel(), minlength=n_genomes * n_classes**2)
-    counts = counts.astype(np.int64, copy=False).reshape(n_genomes, n_classes, n_classes)
-    if predicted.ndim == 1:
-        counts = counts[0]
-    return ConfusionMatrix(classes=tuple(classes), counts=counts)
+    codes, names = class_codes([*true_labels, *predicted.flat], classes)
+    counts = _tally(codes[:n_true], codes[n_true:].reshape(-1, n_true), names, len(classes))
+    return ConfusionMatrix(
+        classes=tuple(classes), counts=counts[0] if predicted.ndim == 1 else counts
+    )
 
 
 def weighted_f1_from_confusion(cm: ConfusionMatrix):
@@ -393,7 +429,14 @@ class FitnessEvaluator:
         self.classes = tuple(classes)
         self._stacked = stack_train_embeddings(self.train_slides)
         self._queries = np.stack([slide_mean_all(rec) for rec in self.eval_slides])
-        self._true_labels = [rec.label for rec in self.eval_slides]
+        # Labels as class indices, encoded together so that equal labels
+        # outside ``classes`` share an index; the k-NN votes in these.
+        n_eval = len(self.eval_slides)
+        codes, self._names = class_codes(
+            [rec.label for rec in self.eval_slides + self.train_slides], self.classes
+        )
+        self._truth = codes[:n_eval]
+        self._train_codes = tuple(codes[n_eval:].tolist())
         self._cache: dict[bytes, FitnessPair] = {}
         self.reference_auc = None
         if constrained:
@@ -405,9 +448,7 @@ class FitnessEvaluator:
         # the mean of all its patches. A training slide is left out of its
         # own ranking: its distance is +inf, which sorts it last.
         n_eval, n_train = len(self.eval_slides), len(self.train_slides)
-        _, codes = np.unique(
-            [rec.label for rec in self.eval_slides + self.train_slides], return_inverse=True
-        )
+        codes = np.concatenate([self._truth, self._train_codes])
         same = codes[:, None] == codes[None, n_eval:]
         same[n_eval + np.arange(n_train), np.arange(n_train)] = False  # the query slide itself
         n_same = same.sum(axis=1)
@@ -501,7 +542,9 @@ class FitnessEvaluator:
             library = aggregate_selected(block, self.layout, self.train_slides, self._stacked)
             for part in range(0, len(block), scoring_rows):
                 rows = slice(part, part + scoring_rows)
-                part_library = replace(library, vectors=library.vectors[rows])
+                part_library = replace(
+                    library, vectors=library.vectors[rows], labels=self._train_codes
+                )
                 results += self._score_block(block[rows], part_library)
         return results if np.ndim(genome) == 2 else results[0]
 
@@ -512,8 +555,8 @@ class FitnessEvaluator:
             if self._shares_queries:
                 library = replace(library, query_distances=dists[:, : len(self._queries)])
         predicted = knn_predict(self._queries, library, self.k)
-        cms = confusion_matrix(self._true_labels, predicted, self.classes)
-        errors = 1.0 - weighted_f1_from_confusion(cms)
+        counts = _tally(self._truth, predicted, self._names, len(self.classes))
+        errors = 1.0 - weighted_f1_from_confusion(ConfusionMatrix(self.classes, counts))
         aucs = self._library_auc(dists) if constrained else None
         results = []
         for i, count in enumerate(block.sum(axis=1).tolist()):
@@ -523,7 +566,7 @@ class FitnessEvaluator:
                 f2_error=float(errors[i]),
                 violation=violation,
             )
-            results.append((pair, ConfusionMatrix(self.classes, cms.counts[i])))
+            results.append((pair, ConfusionMatrix(self.classes, counts[i])))
         return results
 
     def evaluate(self, genome):

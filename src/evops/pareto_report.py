@@ -167,16 +167,7 @@ def baseline_scores(baseline: BaselineReport) -> dict:
 
 def _argbest(front, key) -> int:
     """Index maximizing key; ties prefer smaller patch_count, then lower index."""
-    best = 0
-    for i in range(1, len(front)):
-        better = key(front[i]) > key(front[best])
-        tie_smaller = (
-            key(front[i]) == key(front[best])
-            and front[i].patch_count < front[best].patch_count
-        )
-        if better or tie_smaller:
-            best = i
-    return best
+    return max(range(len(front)), key=lambda i: (key(front[i]), -front[i].patch_count, -i))
 
 
 def build_report(dataset, config, population, traces) -> RunReport:

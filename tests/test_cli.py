@@ -310,3 +310,41 @@ def test_json_artifacts_keep_their_bytes(small_ds, tmp_path):
         text = path.read_bytes().decode("utf-8")
         indent = None if path.parent.name == "selections" else 2
         assert text == json.dumps(json.loads(text), indent=indent) + "\n", path
+
+
+def test_gen_synth_rerun_removes_stale_embedding_files(tmp_path):
+    out = tmp_path / "cohort"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    assert run_cli("gen-synth", "--out", out, "--classes", "3", "--dim", "4") == 0
+    assert run_cli("gen-synth", "--out", out, "--classes", "2", "--dim", "4") == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(p.name for p in out.glob("*.emb")) == sorted(
+        s["path"] for s in manifest["slides"])
+    assert (out / "notes.txt").read_text() == "kept"
+    assert len(load_dataset(out).classes) == 2
+
+
+def test_run_removes_earlier_seeds_and_aggregate(small_ds, tmp_path):
+    base = ("run", "--dataset", small_ds, "--out", tmp_path, "--pop-size", "4",
+            "--generations", "1")
+    assert run_cli(*base, "--seeds", "1..3") == 0
+    (tmp_path / "seed_x").mkdir()
+    (tmp_path / "seed_9.txt").write_text("kept")
+    assert run_cli(*base, "--seeds", "1") == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "aggregate.json", "seed_1", "seed_9.txt", "seed_x"]
+    assert json.loads((tmp_path / "aggregate.json").read_text())["seeds"] == [1]
+
+
+def test_run_removes_old_aggregate_before_the_first_seed(small_ds, tmp_path, monkeypatch):
+    base = ("run", "--dataset", small_ds, "--out", tmp_path, "--pop-size", "4",
+            "--generations", "1")
+    assert run_cli(*base, "--seeds", "1..2") == 0
+
+    def killed(*args, **kwargs):
+        raise RuntimeError("killed")
+
+    monkeypatch.setattr(cli, "run_evolution", killed)
+    assert run_cli(*base, "--seeds", "2") == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["seed_2"]

@@ -468,3 +468,63 @@ def test_block_path_raises_label_error_for_a_training_label_outside_classes():
         evaluator.evaluate_full(genomes)
     with pytest.raises(LabelError, match="predicted label 'x' not in class list"):
         evaluator.evaluate(genomes)
+
+
+def label_path_scores(evaluator, genomes, classes):
+    """Confusion counts and errors from knn_predict's labels and confusion_matrix."""
+    queries = np.stack([slide_mean_all(rec) for rec in evaluator.eval_slides])
+    true = [rec.label for rec in evaluator.eval_slides]
+    library = aggregate_selected(genomes, evaluator.layout, evaluator.train_slides)
+    cms = confusion_matrix(true, knn_predict(queries, library, evaluator.k), classes)
+    return cms.counts, 1.0 - weighted_f1_from_confusion(cms)
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+def test_class_index_scoring_matches_the_label_path(constrained):
+    rng = np.random.default_rng(31)
+    classes = ["c", "a", "d", "b"]  # not sorted; "d" has no training slide
+    train = make_slides(rng, 9, 5, ["b", "c", "a"])
+    evals = make_slides(rng, 8, 5, ["a", "d", "c", "b"], split="validation")
+    layout = build_layout(train)
+    genomes = np.stack([random_covered_genome(rng, layout, density)
+                        for density in (0.1, 0.3, 0.6, 0.9, 1.0)])
+    for k in (1, 3, 4):  # k=4 splits votes 2-2 or 2-1-1
+        evaluator = FitnessEvaluator(layout, train, evals, k, classes=classes,
+                                     constrained=constrained)
+        counts, errors = label_path_scores(evaluator, genomes, classes)
+        scored = evaluator.evaluate_full(genomes)
+        for (pair, cm), expected_counts, expected_error in zip(scored, counts, errors):
+            assert cm.classes == tuple(classes)
+            assert np.array_equal(cm.counts, expected_counts)
+            assert pair.f2_error == float(expected_error)
+
+
+def label_error_message(fn, *args):
+    with pytest.raises(LabelError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("train_labels, eval_labels, message", [
+    (["x", "x", "a"], ["a", "b", "a", "b"], "predicted label 'x'"),
+    (["a", "b", "a"], ["a", "b", "q", "b"], "true label 'q'"),
+    (["x", "x", "a"], ["q", "b", "a", "b"], "true label 'q'"),  # same query: true first
+    (["x", "x", "a"], ["a", "b", "q", "b"], "predicted label 'x'"),  # earlier query
+])
+def test_class_index_scoring_raises_the_label_path_error(train_labels, eval_labels, message):
+    rng = np.random.default_rng(32)
+    classes = ["b", "a"]
+    # Six training slides, k=6: where "x" holds 4 of them, every vote is "x".
+    train = make_slides(rng, 6, 4, train_labels)
+    evals = make_slides(rng, 4, 4, eval_labels, split="validation")
+    layout = build_layout(train)
+    genomes = np.stack([random_covered_genome(rng, layout) for _ in range(3)])
+    evaluator = FitnessEvaluator(layout, train, evals, 6, classes=classes, constrained=True)
+    # Labels outside the class list still rank retrieval by equality.
+    ones = np.ones(layout.total_patches, dtype=bool)
+    assert abs(evaluator.reference_auc
+               - straight_line_retrieval_auc(ones, layout, train, evals)) <= 1e-9
+    expected = label_error_message(label_path_scores, evaluator, genomes, classes)
+    assert expected == f"{message} not in class list"
+    assert label_error_message(evaluator.evaluate_full, genomes) == expected
+    assert label_error_message(evaluator.evaluate, genomes) == expected
