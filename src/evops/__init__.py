@@ -44,7 +44,6 @@ from .fitness import (
 )
 from .pareto_report import (
     AggregateReport,
-    BaselineReport,
     FrontSolution,
     MixedDatasetError,
     RunReport,

@@ -33,7 +33,7 @@ from .pareto_report import (
     compute_baseline,
     export_aggregate,
     export_report,
-    write_confusion_csv,
+    write_confusion_csvs,
 )
 from .synthgen import SynthConfig, generate
 
@@ -67,6 +67,8 @@ def parse_seeds(text: str) -> list[int]:
                 seeds.append(int(part))
         except ValueError as exc:
             raise ConfigError(f"bad seed entry '{part}'") from exc
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be >= 0: '{text}'")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds must be distinct: '{text}'")
     return seeds
@@ -139,7 +141,7 @@ def cmd_run(args) -> int:
     # this run's result, also when this run is killed before it finishes.
     kept = {f"seed_{s}" for s in seeds}
     for path in out_dir.iterdir():
-        if path.is_dir() and re.fullmatch(r"seed_-?\d+", path.name) and path.name not in kept:
+        if path.is_dir() and re.fullmatch(r"seed_\d+", path.name) and path.name not in kept:
             shutil.rmtree(path)
     (out_dir / "aggregate.json").unlink(missing_ok=True)
 
@@ -172,10 +174,7 @@ def cmd_baseline(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_json(out_dir / "baseline.json", baseline_scores(baseline))
-        write_confusion_csv(out_dir / "confusion_val_baseline.csv",
-                         baseline.validation_confusion)
-        write_confusion_csv(out_dir / "confusion_test_baseline.csv",
-                         baseline.test_confusion)
+        write_confusion_csvs(out_dir, "baseline", baseline)
     return EXIT_OK
 
 

@@ -78,6 +78,8 @@ class EvolutionConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

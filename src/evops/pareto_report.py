@@ -3,7 +3,9 @@
 After the generational loop finishes, the rank-0 solutions are re-scored on
 the validation and test splits, the best-by-validation and best-by-test
 solutions are identified, and everything is written out as CSV/JSON for
-downstream tooling (no plotting here).
+downstream tooling (no plotting here). The baseline is the all-patches
+genome's ``FrontSolution``: one scorer scores it and the front members, and
+one writer writes every solution's confusion CSVs.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .dataset import GenomeLayout, SplitDataset, build_layout, write_json
 from .evolution import EvolutionConfig, GenerationTrace, fast_non_dominated_sort
-from .fitness import ConfusionMatrix, FitnessEvaluator
+from .fitness import ConfusionMatrix, FitnessEvaluator, segment_popcounts
 
 CSV_FLOAT_FMT = "%.6f"
 
@@ -27,7 +29,7 @@ class MixedDatasetError(Exception):
 
 @dataclass
 class FrontSolution:
-    """One Pareto-front member scored on both held-out splits."""
+    """A front member, or the all-patches baseline, scored on both held-out splits."""
 
     genome: np.ndarray
     patch_count: int
@@ -40,23 +42,12 @@ class FrontSolution:
 
 
 @dataclass
-class BaselineReport:
-    """All-ones-genome scores: the no-selection reference point."""
-
-    patch_count: int
-    validation_f1: float
-    test_f1: float
-    validation_confusion: ConfusionMatrix
-    test_confusion: ConfusionMatrix
-
-
-@dataclass
 class RunReport:
     """Everything one seeded run produced, ready for export/aggregation."""
 
     config: EvolutionConfig
     dataset_hash: str
-    baseline: BaselineReport
+    baseline: FrontSolution
     front: list[FrontSolution]
     best_val: int
     best_test: int
@@ -102,64 +93,57 @@ def extract_front(population) -> list:
     return unique
 
 
-def _held_out_scores(genomes, layout, dataset: SplitDataset, split, k) -> list:
-    """Each genome's (FitnessPair, ConfusionMatrix) on one held-out split.
+def _score_genomes(genomes, dataset: SplitDataset, k) -> list[FrontSolution]:
+    """Score each genome on the validation and test splits.
 
-    One unconstrained evaluator scores every genome in one ``evaluate_full``
-    call; its F1 is 1 - f2_error. Scoring one split at a time keeps one copy
-    of the training matrix alive.
+    One unconstrained evaluator per split scores the stacked genomes in one
+    ``evaluate_full`` call; its F1 is 1 - f2_error. Scoring one split at a time
+    keeps one copy of the training matrix alive.
     """
-    evaluator = FitnessEvaluator(layout, dataset.train, split, k, classes=dataset.classes)
-    return evaluator.evaluate_full(np.stack(genomes))
+    dataset.require_runnable()
+    layout = build_layout(dataset.train)
+    stacked = np.stack(genomes)
+    val_scores, test_scores = [
+        FitnessEvaluator(layout, dataset.train, split, k,
+                         classes=dataset.classes).evaluate_full(stacked)
+        for split in (dataset.validation, dataset.test)
+    ]
+    slide_ids = [rec.slide_id for rec in dataset.train]
+    counts = segment_popcounts(stacked, layout)
+    return [
+        FrontSolution(
+            genome=genome,
+            patch_count=int(row.sum()),
+            f1_fraction=val_pair.f1_fraction,
+            validation_f1=1.0 - val_pair.f2_error,
+            test_f1=1.0 - test_pair.f2_error,
+            validation_confusion=val_cm,
+            test_confusion=test_cm,
+            per_slide_counts=dict(zip(slide_ids, row.tolist())),
+        )
+        for genome, row, (val_pair, val_cm), (test_pair, test_cm)
+        in zip(genomes, counts, val_scores, test_scores)
+    ]
 
 
 def evaluate_front(front, dataset: SplitDataset, k) -> list[FrontSolution]:
     """Score every front member on the validation and test splits."""
     if not front:
         raise ValueError("front is empty")
-    dataset.require_runnable()
-    layout = build_layout(dataset.train)
-    genomes = [np.asarray(ind.genome, dtype=bool) for ind in front]
-    val_scores = _held_out_scores(genomes, layout, dataset, dataset.validation, k)
-    test_scores = _held_out_scores(genomes, layout, dataset, dataset.test, k)
-    solutions = []
-    for genome, (val_pair, val_cm), (test_pair, test_cm) in zip(genomes, val_scores, test_scores):
-        counts = {
-            rec.slide_id: int(genome[off : off + length].sum())
-            for rec, (_, off, length) in zip(dataset.train, layout.segments)
-        }
-        solutions.append(
-            FrontSolution(
-                genome=genome,
-                patch_count=int(genome.sum()),
-                f1_fraction=val_pair.f1_fraction,
-                validation_f1=1.0 - val_pair.f2_error,
-                test_f1=1.0 - test_pair.f2_error,
-                validation_confusion=val_cm,
-                test_confusion=test_cm,
-                per_slide_counts=counts,
-            )
-        )
-    return solutions
+    return _score_genomes([np.asarray(ind.genome, dtype=bool) for ind in front], dataset, k)
 
 
-def compute_baseline(dataset: SplitDataset, k) -> BaselineReport:
-    """Score the all-ones genome (every training patch retained)."""
-    dataset.require_runnable()
-    layout = build_layout(dataset.train)
-    genomes = [np.ones(layout.total_patches, dtype=bool)]
-    [(val_pair, val_cm)] = _held_out_scores(genomes, layout, dataset, dataset.validation, k)
-    [(test_pair, test_cm)] = _held_out_scores(genomes, layout, dataset, dataset.test, k)
-    return BaselineReport(
-        patch_count=layout.total_patches,
-        validation_f1=1.0 - val_pair.f2_error,
-        test_f1=1.0 - test_pair.f2_error,
-        validation_confusion=val_cm,
-        test_confusion=test_cm,
-    )
+def compute_baseline(dataset: SplitDataset, k) -> FrontSolution:
+    """The all-ones genome (every training patch retained), scored on its own.
+
+    It is not batched with a front, so its scores do not depend on the run.
+    """
+    total = sum(rec.rows for rec in dataset.train)
+    [baseline] = _score_genomes([np.ones(total, dtype=bool)], dataset, k)
+    return baseline
 
 
-def baseline_scores(baseline: BaselineReport) -> dict:
+def baseline_scores(baseline: FrontSolution) -> dict:
     """The baseline's patch count and F1s, as every summary writes them."""
     return {"patch_count": baseline.patch_count, "validation_f1": baseline.validation_f1,
             "test_f1": baseline.test_f1}
@@ -263,11 +247,15 @@ def _fmt(value) -> str:
     return CSV_FLOAT_FMT % value
 
 
-def write_confusion_csv(path, cm: ConfusionMatrix) -> None:
-    rows = [
-        [cls] + [int(n) for n in cm.counts[i]] for i, cls in enumerate(cm.classes)
-    ]
-    _write_csv(path, ["true_class"] + list(cm.classes), rows)
+def write_confusion_csvs(out_dir, name, solution: FrontSolution) -> None:
+    """Write ``confusion_{val,test}_<name>.csv``, one row per true class."""
+    for split, cm in (("val", solution.validation_confusion),
+                      ("test", solution.test_confusion)):
+        rows = [
+            [cls] + [int(n) for n in cm.counts[i]] for i, cls in enumerate(cm.classes)
+        ]
+        _write_csv(Path(out_dir) / f"confusion_{split}_{name}.csv",
+                   ["true_class"] + list(cm.classes), rows)
 
 
 def _solution_summary(report, index) -> dict:
@@ -327,11 +315,8 @@ def export_report(report: RunReport, out_dir) -> Path:
         "best_val": report.front[report.best_val],
         "best_test": report.front[report.best_test],
     }
-    for name, source in named.items():
-        write_confusion_csv(out_dir / f"confusion_val_{name}.csv",
-                         source.validation_confusion)
-        write_confusion_csv(out_dir / f"confusion_test_{name}.csv",
-                         source.test_confusion)
+    for name, solution in named.items():
+        write_confusion_csvs(out_dir, name, solution)
 
     _write_csv(
         out_dir / "trace.csv",

@@ -53,6 +53,8 @@ class SynthConfig:
             raise ValueError("class_separation must be finite and >= 0")
         if not math.isfinite(self.noise_sigma) or self.noise_sigma <= 0:
             raise ValueError("noise_sigma must be finite and > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _class_label(c: int) -> str:

@@ -348,3 +348,52 @@ def test_run_removes_old_aggregate_before_the_first_seed(small_ds, tmp_path, mon
     monkeypatch.setattr(cli, "run_evolution", killed)
     assert run_cli(*base, "--seeds", "2") == 4
     assert sorted(p.name for p in tmp_path.iterdir()) == ["seed_2"]
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def test_parse_seeds_rejects_negative_entries():
+    for text in ("-1", "1,-1", "-2..1"):
+        with pytest.raises(ConfigError, match=">= 0"):
+            parse_seeds(text)
+
+
+def test_run_negative_seed_exit_2_keeps_earlier_run(small_ds, tmp_path, capsys):
+    base = ("run", "--dataset", small_ds, "--out", tmp_path, "--pop-size", "4",
+            "--generations", "1")
+    assert run_cli(*base, "--seeds", "1..2") == 0
+    before = _tree_bytes(tmp_path)
+    assert {"aggregate.json", "seed_1", "seed_2"} <= {p.name for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert run_cli(*base, "--seeds=-1") == 2
+    assert "seeds" in capsys.readouterr().err
+    assert _tree_bytes(tmp_path) == before
+
+
+def test_run_with_a_negative_seed_writes_nothing(small_ds, tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("run", "--dataset", small_ds, "--out", out, "--pop-size", "4",
+                   "--generations", "1", "--seeds", "1,-1") == 2
+    assert not out.exists()
+
+
+def test_gen_synth_negative_seed_exit_2(tmp_path, capsys):
+    assert run_cli("gen-synth", "--out", tmp_path / "x", "--seed", "-1") == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_baseline_csvs_equal_the_run_seed_csvs(tmp_path):
+    ds = tmp_path / "ds"
+    assert run_cli("gen-synth", "--out", ds, "--classes", "3", "--dim", "8", "--seed", "4",
+                   "--separation", "1.5") == 0
+    assert run_cli("baseline", "--dataset", ds, "--out", tmp_path / "b", "--k", "3") == 0
+    assert run_cli("run", "--dataset", ds, "--out", tmp_path / "r", "--k", "3",
+                   "--seeds", "1", "--pop-size", "4", "--generations", "1") == 0
+    for split in ("val", "test"):
+        name = f"confusion_{split}_baseline.csv"
+        assert (tmp_path / "b" / name).read_bytes() == (
+            tmp_path / "r" / "seed_1" / name).read_bytes()

@@ -450,3 +450,9 @@ def test_guided_front_is_feasible_and_paper_search_has_no_violations():
         ds, EvolutionConfig(population_size=12, generations=4, seed=8, search="paper")
     )
     assert all(ind.fitness.violation == 0.0 for ind in paper)
+
+
+def test_config_rejects_negative_seed():
+    EvolutionConfig(seed=0).validate()
+    with pytest.raises(ValueError, match="seed"):
+        EvolutionConfig(seed=-1).validate()

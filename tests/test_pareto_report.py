@@ -9,7 +9,9 @@ import pytest
 from evops.dataset import build_layout
 from evops.evolution import EvolutionConfig, Individual, run_evolution
 from evops.fitness import FitnessPair, evaluate_individual
+from evops import pareto_report
 from evops.pareto_report import (
+    FrontSolution,
     MixedDatasetError,
     aggregate_runs,
     build_report,
@@ -334,3 +336,62 @@ def test_report_scores_equal_evaluate_individual():
             assert f1 == 1.0 - pair.f2_error
             assert cm.classes == expected.classes
             assert np.array_equal(cm.counts, expected.counts)
+
+
+def test_baseline_is_the_all_patches_front_solution():
+    ds = generate(PLANTED)
+    baseline = compute_baseline(ds, 3)
+    assert isinstance(baseline, FrontSolution)
+    assert baseline.f1_fraction == 1.0
+    assert baseline.per_slide_counts == {rec.slide_id: rec.rows for rec in ds.train}
+    assert baseline.genome.dtype == bool and baseline.genome.all()
+    assert baseline.patch_count == baseline.genome.size
+
+
+def test_per_slide_counts_equal_segment_slices(planted_run):
+    ds, _, _, _, report = planted_run
+    layout = build_layout(ds.train)
+    rng = np.random.default_rng(9)
+    front = []
+    for density in (0.05, 0.5, 0.95):
+        genome = rng.random(layout.total_patches) < density
+        genome[layout.offsets] = True
+        front.append(Individual(genome=genome))
+    for sol in report.front + evaluate_front(front, ds, 3):
+        expected = {
+            rec.slide_id: int(sol.genome[off : off + length].sum())
+            for rec, (_, off, length) in zip(ds.train, layout.segments)
+        }
+        assert sol.per_slide_counts == expected
+        assert all(type(n) is int for n in sol.per_slide_counts.values())
+
+
+def test_scoring_builds_one_evaluator_per_split(monkeypatch):
+    ds = generate(PLANTED)
+    layout = build_layout(ds.train)
+    built = []
+    evaluator = pareto_report.FitnessEvaluator
+
+    def recording(*args, **kwargs):
+        built.append(args[2])
+        return evaluator(*args, **kwargs)
+
+    monkeypatch.setattr(pareto_report, "FitnessEvaluator", recording)
+    front = [Individual(genome=np.ones(layout.total_patches, dtype=bool))] * 4
+    assert len(evaluate_front(front, ds, 3)) == 4
+    compute_baseline(ds, 3)
+    assert built == [ds.validation, ds.test] * 2
+
+
+def test_baseline_does_not_go_through_evaluate_front(monkeypatch):
+    ds = generate(PLANTED)
+    expected = compute_baseline(ds, 3)
+
+    def traced_front(*args, **kwargs):
+        raise AssertionError("compute_baseline called evaluate_front")
+
+    monkeypatch.setattr(pareto_report, "evaluate_front", traced_front)
+    baseline = compute_baseline(ds, 3)
+    assert (baseline.validation_f1, baseline.test_f1) == (
+        expected.validation_f1, expected.test_f1)
+    assert np.array_equal(baseline.test_confusion.counts, expected.test_confusion.counts)
