@@ -8,7 +8,6 @@ classifies each by majority vote among its k nearest library rows.
 
 import numpy as np
 
-from evops.dataset import build_layout
 from evops.fitness import aggregate_selected, evaluate_individual, knn_predict, weighted_f1
 from evops.synthgen import SynthConfig, generate, oracle_genome
 
@@ -17,7 +16,7 @@ dataset = generate(SynthConfig(classes=3, train_slides_per_class=5,
                                patches_min=10, patches_max=20,
                                informative_fraction=0.2, dim=16,
                                class_separation=4.0, seed=7))
-layout = build_layout(dataset.train)
+layout = dataset.layout  # built once per dataset, with its float64 training matrix
 P = layout.total_patches
 print(f"{len(dataset.train)} training slides, P={P} patches, "
       f"{len(layout.segments)} genome segments")

@@ -235,15 +235,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DATASET_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATASET
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        # An exception without a message, such as MemoryError(), is named by its type.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        if isinstance(exc, ConfigError):
+            return EXIT_CONFIG
+        return EXIT_DATASET if isinstance(exc, DATASET_ERRORS) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import hashlib
 import json
 import numbers
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -95,17 +95,25 @@ class SplitDataset:
             h.update(np.ascontiguousarray(rec.embeddings, dtype="<f4").tobytes())
         return h.hexdigest()
 
+    @cached_property
+    def layout(self) -> GenomeLayout:
+        """The training split's genome layout, and with it the training matrix."""
+        return build_layout(self.train)
+
 
 @dataclass(frozen=True)
 class GenomeLayout:
     """Maps genome bit positions to (slide, patch) pairs.
 
     Training slides occupy contiguous, non-overlapping segments covering
-    [0, total_patches) in training-slide order.
+    [0, total_patches) in training-slide order. ``build_layout`` also keeps
+    the slides, whose rows ``matrix`` stacks; equality, hash and repr
+    ignore them, so a layout built by hand from its segments equals it.
     """
 
     total_patches: int
     segments: tuple[tuple[int, int, int], ...]  # (slide_index, offset, length)
+    slides: tuple[SlideRecord, ...] = field(default=(), compare=False, repr=False)
 
     @cached_property
     def offsets(self) -> np.ndarray:
@@ -119,6 +127,12 @@ class GenomeLayout:
     def n_slides(self) -> int:
         return len(self.segments)
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The slides' patch rows as one (P, dim) float64 matrix, in segment order."""
+        # Keep astype: freeing the float32 stack lifts glibc's mmap threshold, speeding scoring.
+        return np.concatenate([rec.embeddings for rec in self.slides]).astype(np.float64)
+
 
 def build_layout(train_slides) -> GenomeLayout:
     """Assign each training slide a contiguous genome segment, in order."""
@@ -129,7 +143,8 @@ def build_layout(train_slides) -> GenomeLayout:
     for i, rec in enumerate(train_slides):
         segments.append((i, offset, rec.rows))
         offset += rec.rows
-    return GenomeLayout(total_patches=offset, segments=tuple(segments))
+    return GenomeLayout(total_patches=offset, segments=tuple(segments),
+                        slides=tuple(train_slides))
 
 
 def check_number_fields(config) -> None:

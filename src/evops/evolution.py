@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import GenomeLayout, SplitDataset, build_layout, check_number_fields
+from .dataset import GenomeLayout, SplitDataset, check_number_fields
 from .fitness import FitnessEvaluator, FitnessPair, segment_popcounts
 
 SEARCHES = ("guided", "paper")
@@ -370,7 +370,7 @@ def run_evolution(dataset: SplitDataset, config: EvolutionConfig, workers=1,
     if not dataset.validation:
         raise ValueError("validation split is empty")
 
-    layout = build_layout(dataset.train)
+    layout = dataset.layout
     guided = config.search == "guided"
     evaluator = FitnessEvaluator(
         layout, dataset.train, dataset.validation, config.k_neighbors,

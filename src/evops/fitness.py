@@ -92,11 +92,6 @@ class ReferenceLibrary:
         return self.vectors.shape[-2]
 
 
-def stack_train_embeddings(train_slides) -> np.ndarray:
-    """Concatenate all training patch rows into one (P, dim) float64 matrix."""
-    return np.concatenate([rec.embeddings for rec in train_slides]).astype(np.float64)
-
-
 def segment_popcounts(genome: np.ndarray, layout: GenomeLayout) -> np.ndarray:
     """Number of set bits in each slide segment, along the last axis."""
     return np.add.reduceat(genome, layout.offsets, axis=-1, dtype=np.int64)
@@ -113,20 +108,18 @@ def genome_matrix(genome, layout) -> np.ndarray:
     return genomes.reshape(-1, layout.total_patches)
 
 
-def aggregate_selected(genome, layout, train_slides, stacked=None) -> ReferenceLibrary:
+def aggregate_selected(genome, layout, train_slides) -> ReferenceLibrary:
     """Build the reference library: per-slide mean over selected patches only.
 
     ``genome`` is one (P,) genome, giving (S, dim) vectors, or an (N, P)
     matrix, giving (N, S, dim). Each slide's sums are one matrix product of
-    its columns of the genome matrix with its rows of the training matrix.
+    its columns of the genome matrix with its rows of ``layout.matrix``.
     The products are exact (each bit is 0 or 1), so the result depends on
     the summation order only when a float64 sum rounds; float32 embeddings
     within 2**20 of each other in magnitude per slide and dimension give
     exact sums for slides of up to 512 patches, and then every batch shape
     gives the same bits.
 
-    ``stacked`` may pass a precomputed stack_train_embeddings() result so
-    per-generation evaluation avoids re-concatenating the training matrix.
     Raises CoverageViolation naming the slide of the first empty segment of
     the first genome that has one.
     """
@@ -139,12 +132,11 @@ def aggregate_selected(genome, layout, train_slides, stacked=None) -> ReferenceL
         raise CoverageViolation(
             f"segment {bad}{which} (slide '{train_slides[bad].slide_id}') has no selected patch"
         )
-    if stacked is None:
-        stacked = stack_train_embeddings(train_slides)
-    vectors = np.empty((len(genomes), layout.n_slides, stacked.shape[1]))
+    matrix = layout.matrix
+    vectors = np.empty((len(genomes), layout.n_slides, matrix.shape[1]))
     for s, (_, offset, length) in enumerate(layout.segments):
         segment = slice(offset, offset + length)
-        np.matmul(genomes[:, segment].astype(np.float64), stacked[segment], out=vectors[:, s])
+        np.matmul(genomes[:, segment].astype(np.float64), matrix[segment], out=vectors[:, s])
     vectors /= counts[..., None]
     return ReferenceLibrary(
         vectors=vectors if batched else vectors[0],
@@ -401,12 +393,12 @@ _SCORING_CELLS = 1 << 18
 class FitnessEvaluator:
     """Evaluates genomes against one fixed (train, eval) slide pairing.
 
-    Caches the stacked training matrix, the evaluation-slide mean vectors
-    (they never change within a run) and previously computed fitness pairs
-    keyed by genome digest; ``evaluate`` computes each distinct genome of a
-    batch once, whether it repeats a cached genome or an earlier row of the
-    same batch. Evaluation consumes no randomness, so a genome's fitness
-    does not depend on when or how often it is evaluated.
+    Caches the evaluation-slide mean vectors (they never change within a
+    run) and previously computed fitness pairs keyed by genome digest;
+    ``evaluate`` computes each distinct genome of a batch once, whether it
+    repeats a cached genome or an earlier row of the same batch. Evaluation
+    consumes no randomness, so a genome's fitness does not depend on when
+    or how often it is evaluated.
 
     With ``constrained`` set, each genome is also scored by its retrieval
     AUC (``retrieval_auc``), and ``FitnessPair.violation`` is how far that
@@ -427,7 +419,6 @@ class FitnessEvaluator:
                 | {rec.label for rec in self.eval_slides}
             )
         self.classes = tuple(classes)
-        self._stacked = stack_train_embeddings(self.train_slides)
         self._queries = np.stack([slide_mean_all(rec) for rec in self.eval_slides])
         # Labels as class indices, encoded together so that equal labels
         # outside ``classes`` share an index; the k-NN votes in these.
@@ -481,7 +472,7 @@ class FitnessEvaluator:
         library slide are skipped; with none left the AUC is 0. Distances
         use ``expanded_sq_distances``.
         """
-        library = aggregate_selected(genome, self.layout, self.train_slides, self._stacked)
+        library = aggregate_selected(genome, self.layout, self.train_slides)
         return self._library_auc(self._retrieval_distances(library.vectors))
 
     def _retrieval_distances(self, vectors) -> np.ndarray:
@@ -513,7 +504,7 @@ class FitnessEvaluator:
 
     def _scoring_rows(self) -> int:
         """Genomes per scoring block, from ``_SCORING_CELLS``."""
-        n, dim = self.layout.n_slides, self._stacked.shape[1]
+        n, dim = self.layout.n_slides, self._queries.shape[1]
         n_eval = len(self._queries)
         n_auc = 0 if self.reference_auc is None else len(self._retrieval_queries)
         scored = n if n_eval * n * dim <= _EXACT_CELLS else min(self.k, n)
@@ -534,12 +525,12 @@ class FitnessEvaluator:
         rows. A genome's bits do not depend on its block.
         """
         genomes = genome_matrix(genome, self.layout)
-        library_rows = max(1, _LIBRARY_CELLS // self._stacked.shape[1] // self.layout.n_slides)
+        library_rows = max(1, _LIBRARY_CELLS // self._queries.shape[1] // self.layout.n_slides)
         scoring_rows = self._scoring_rows()
         results = []
         for start in range(0, len(genomes), library_rows):
             block = genomes[start : start + library_rows]
-            library = aggregate_selected(block, self.layout, self.train_slides, self._stacked)
+            library = aggregate_selected(block, self.layout, self.train_slides)
             for part in range(0, len(block), scoring_rows):
                 rows = slice(part, part + scoring_rows)
                 part_library = replace(

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import GenomeLayout, SplitDataset, build_layout, write_json
+from .dataset import GenomeLayout, SplitDataset, write_json
 from .evolution import EvolutionConfig, GenerationTrace, fast_non_dominated_sort
 from .fitness import ConfusionMatrix, FitnessEvaluator, segment_popcounts
 
@@ -97,11 +97,11 @@ def _score_genomes(genomes, dataset: SplitDataset, k) -> list[FrontSolution]:
     """Score each genome on the validation and test splits.
 
     One unconstrained evaluator per split scores the stacked genomes in one
-    ``evaluate_full`` call; its F1 is 1 - f2_error. Scoring one split at a time
-    keeps one copy of the training matrix alive.
+    ``evaluate_full`` call; its F1 is 1 - f2_error. Both read the dataset's
+    one training matrix, ``dataset.layout.matrix``.
     """
     dataset.require_runnable()
-    layout = build_layout(dataset.train)
+    layout = dataset.layout
     stacked = np.stack(genomes)
     val_scores, test_scores = [
         FitnessEvaluator(layout, dataset.train, split, k,
@@ -138,8 +138,8 @@ def compute_baseline(dataset: SplitDataset, k) -> FrontSolution:
 
     It is not batched with a front, so its scores do not depend on the run.
     """
-    total = sum(rec.rows for rec in dataset.train)
-    [baseline] = _score_genomes([np.ones(total, dtype=bool)], dataset, k)
+    dataset.require_runnable()  # an empty split fails with this message, not the layout's
+    [baseline] = _score_genomes([np.ones(dataset.layout.total_patches, dtype=bool)], dataset, k)
     return baseline
 
 
@@ -156,7 +156,7 @@ def _argbest(front, key) -> int:
 
 def build_report(dataset, config, population, traces) -> RunReport:
     """Assemble a RunReport from a finished run's population and traces."""
-    layout = build_layout(dataset.train)
+    layout = dataset.layout
     front = evaluate_front(extract_front(population), dataset, config.k_neighbors)
     baseline = compute_baseline(dataset, config.k_neighbors)
     best_val = _argbest(front, lambda s: s.validation_f1)

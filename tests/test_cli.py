@@ -1,10 +1,12 @@
 import json
+from functools import cached_property
 
 import pytest
 
 from evops import cli
+from evops import dataset as dataset_mod
 from evops.cli import ConfigError, main, parse_seeds
-from evops.dataset import load_dataset
+from evops.dataset import GenomeLayout, load_dataset
 from evops.synthgen import SynthConfig
 
 
@@ -397,3 +399,41 @@ def test_baseline_csvs_equal_the_run_seed_csvs(tmp_path):
         name = f"confusion_{split}_baseline.csv"
         assert (tmp_path / "b" / name).read_bytes() == (
             tmp_path / "r" / "seed_1" / name).read_bytes()
+
+
+def test_run_builds_one_layout_and_one_training_matrix(small_ds, tmp_path, monkeypatch):
+    calls = {"layout": 0, "matrix": 0}
+    build_layout, stack = dataset_mod.build_layout, GenomeLayout.matrix.func
+
+    def counting_layout(train):
+        calls["layout"] += 1
+        return build_layout(train)
+
+    def counting_matrix(layout):
+        calls["matrix"] += 1
+        return stack(layout)
+
+    matrix = cached_property(counting_matrix)
+    matrix.__set_name__(GenomeLayout, "matrix")
+    monkeypatch.setattr(dataset_mod, "build_layout", counting_layout)
+    monkeypatch.setattr(GenomeLayout, "matrix", matrix)
+    assert run_cli("run", "--dataset", small_ds, "--out", tmp_path, "--seeds", "1..3",
+                   "--pop-size", "4", "--generations", "2") == 0
+    assert calls == {"layout": 1, "matrix": 1}
+
+
+def test_seed_of_a_multi_seed_run_equals_that_seed_alone(small_ds, tmp_path):
+    base = ("run", "--dataset", small_ds, "--pop-size", "6", "--generations", "3")
+    assert run_cli(*base, "--out", tmp_path / "many", "--seeds", "1..3") == 0
+    assert run_cli(*base, "--out", tmp_path / "one", "--seeds", "3") == 0
+    alone = _tree_bytes(tmp_path / "one" / "seed_3")
+    assert alone and _tree_bytes(tmp_path / "many" / "seed_3") == alone
+
+
+def test_error_without_a_message_names_its_type(monkeypatch, capsys):
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_baseline", out_of_memory)
+    assert run_cli("baseline", "--dataset", "unused") == 4
+    assert "error: MemoryError" in capsys.readouterr().err

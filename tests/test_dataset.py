@@ -6,6 +6,7 @@ import pytest
 
 from evops.dataset import (
     EmbeddingFormatError,
+    GenomeLayout,
     ManifestParseError,
     SlideRecord,
     ValidationError,
@@ -190,6 +191,38 @@ def test_build_layout_against_prefix_sum_oracle():
     offsets = layout.offsets
     assert (np.diff(offsets) > 0).all()
     assert offsets[-1] + layout.lengths[-1] == layout.total_patches
+
+
+def test_layout_matrix_rows_are_each_slides_float64_rows():
+    slides = [make_slide(f"s{i}", "a", "train", rows, 3, seed=i)
+              for i, rows in enumerate([5, 1, 4])]
+    layout = build_layout(slides)
+    assert layout.matrix.dtype == np.float64
+    assert layout.matrix.shape == (layout.total_patches, 3)
+    for (i, offset, length), rec in zip(layout.segments, slides):
+        expected = rec.embeddings.astype(np.float64)
+        assert layout.matrix[offset : offset + length].tobytes() == expected.tobytes()
+    assert layout.matrix is layout.matrix  # stacked once
+
+
+def test_built_layout_equals_one_built_by_hand():
+    slides = [make_slide(f"s{i}", "a", "train", rows, 2, seed=i)
+              for i, rows in enumerate([2, 3])]
+    built = build_layout(slides)
+    by_hand = GenomeLayout(total_patches=built.total_patches, segments=built.segments)
+    assert list(map(id, built.slides)) == list(map(id, slides)) and by_hand.slides == ()
+    assert built == by_hand
+    assert hash(built) == hash(by_hand)
+    assert repr(built) == repr(by_hand)
+
+
+def test_dataset_builds_its_layout_once():
+    dataset = generate(SynthConfig(classes=2, train_slides_per_class=2,
+                                   validation_slides_per_class=1,
+                                   test_slides_per_class=1, dim=4, seed=3))
+    assert dataset.layout is dataset.layout
+    assert dataset.layout == build_layout(dataset.train)
+    assert list(map(id, dataset.layout.slides)) == list(map(id, dataset.train))
 
 
 def test_slide_mean_all_hand_cases():
