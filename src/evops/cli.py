@@ -50,28 +50,30 @@ class ConfigError(Exception):
 
 
 def parse_seeds(text: str) -> list[int]:
-    """Parse '1..10' ranges and comma lists like '1,3,7..9' into distinct seeds."""
-    seeds: list[int] = []
+    """Parse '1..10' ranges and comma lists like '1,3,7..9' into distinct seeds.
+
+    Every entry is checked before any range is expanded, so a bad entry after
+    a huge range fails at once.
+    """
+    ranges: list[tuple[int, int]] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             raise ConfigError(f"empty seed entry in '{text}'")
+        lo_text, hi_text = part.split("..", 1) if ".." in part else (part, part)
         try:
-            if ".." in part:
-                lo_text, hi_text = part.split("..", 1)
-                lo, hi = int(lo_text), int(hi_text)
-                if hi < lo:
-                    raise ConfigError(f"descending seed range '{part}'")
-                seeds.extend(range(lo, hi + 1))
-            else:
-                seeds.append(int(part))
+            lo, hi = int(lo_text), int(hi_text)
         except ValueError as exc:
             raise ConfigError(f"bad seed entry '{part}'") from exc
-    if min(seeds) < 0:
-        raise ConfigError(f"seeds must be >= 0: '{text}'")
-    if len(set(seeds)) != len(seeds):
+        if hi < lo:
+            raise ConfigError(f"descending seed range '{part}'")
+        if lo < 0:
+            raise ConfigError(f"seeds must be >= 0: '{text}'")
+        ranges.append((lo, hi))
+    ordered = sorted(ranges)
+    if any(prev_hi >= lo for (_, prev_hi), (lo, _) in zip(ordered, ordered[1:])):
         raise ConfigError(f"seeds must be distinct: '{text}'")
-    return seeds
+    return [seed for lo, hi in ranges for seed in range(lo, hi + 1)]
 
 
 def _load_config_file(path) -> dict:
@@ -111,7 +113,7 @@ def _config(cls, args, exclude=()):
     return config
 
 
-def _run_one_seed(dataset, config, seed, out_dir):
+def _run_one_seed(dataset, config, baseline, seed, out_dir):
     cfg = replace(config, seed=seed)
 
     def progress(trace):
@@ -125,7 +127,7 @@ def _run_one_seed(dataset, config, seed, out_dir):
         )
 
     population, traces = run_evolution(dataset, cfg, on_generation=progress)
-    report = build_report(dataset, cfg, population, traces)
+    report = build_report(dataset, cfg, population, traces, baseline)
     export_report(report, Path(out_dir) / f"seed_{seed}")
     return report
 
@@ -135,6 +137,9 @@ def cmd_run(args) -> int:
     dataset.require_runnable()
     config = _config(EvolutionConfig, args, exclude=("seed",))
     seeds = parse_seeds(args.seeds)
+    # The reference depends only on (dataset, k). Scoring it before --out is
+    # touched lets a run that cannot score it fail with the earlier run intact.
+    baseline = compute_baseline(dataset, config.k_neighbors)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # An earlier run's other seeds and aggregate must not pass for part of
@@ -145,7 +150,7 @@ def cmd_run(args) -> int:
             shutil.rmtree(path)
     (out_dir / "aggregate.json").unlink(missing_ok=True)
 
-    reports = [_run_one_seed(dataset, config, s, out_dir) for s in seeds]
+    reports = [_run_one_seed(dataset, config, baseline, s, out_dir) for s in seeds]
     export_aggregate(aggregate_runs(reports), out_dir / "aggregate.json")
     return EXIT_OK
 

@@ -252,9 +252,11 @@ def load_dataset(manifest_path) -> SplitDataset:
 
     base = manifest_path.parent
     by_split: dict[str, list[SlideRecord]] = {name: [] for name in SPLITS}
-    for entry in entries:
+    for i, entry in enumerate(entries):
+        slide_id = entry.get("slide_id") if isinstance(entry, dict) else None
+        where = f"slide '{slide_id}'" if isinstance(slide_id, str) else f"slide entry {i}"
         if not isinstance(entry, dict):
-            raise ManifestParseError(f"{manifest_path}: slide entries must be objects")
+            raise ManifestParseError(f"{manifest_path}: {where}: slide entries must be objects")
         try:
             slide_id = entry["slide_id"]
             label = entry["label"]
@@ -263,27 +265,30 @@ def load_dataset(manifest_path) -> SplitDataset:
             rows = entry["rows"]
         except KeyError as exc:
             raise ManifestParseError(
-                f"{manifest_path}: slide entry missing key {exc}"
+                f"{manifest_path}: {where}: slide entry missing key {exc}"
             ) from exc
         if not all(isinstance(v, str) for v in (slide_id, label, split, rel_path)):
             raise ManifestParseError(
-                f"{manifest_path}: slide_id/label/split/path must be strings"
+                f"{manifest_path}: {where}: slide_id/label/split/path must be strings"
             )
         if isinstance(rows, bool) or not isinstance(rows, int) or rows < 0:
             raise ManifestParseError(
-                f"{manifest_path}: slide '{slide_id}': 'rows' must be a non-negative integer"
+                f"{manifest_path}: {where}: 'rows' must be a non-negative integer"
             )
         if split not in SPLITS:
-            raise ValidationError(f"slide '{slide_id}': unknown split '{split}'")
-        embeddings = read_embedding_file(base / rel_path)
+            raise ValidationError(f"{where}: unknown split '{split}'")
+        try:
+            embeddings = read_embedding_file(base / rel_path)
+        except EmbeddingFormatError as exc:
+            raise EmbeddingFormatError(f"{where}: {exc}") from exc
         if embeddings.shape[0] != rows:
             raise ValidationError(
-                f"slide '{slide_id}': manifest declares {rows} rows, "
+                f"{where}: manifest declares {rows} rows, "
                 f"file holds {embeddings.shape[0]}"
             )
         if embeddings.shape[1] != dim:
             raise ValidationError(
-                f"slide '{slide_id}': embedding dim {embeddings.shape[1]} "
+                f"{where}: embedding dim {embeddings.shape[1]} "
                 f"does not match dataset dim {dim}"
             )
         embeddings.setflags(write=False)

@@ -154,11 +154,17 @@ def _argbest(front, key) -> int:
     return max(range(len(front)), key=lambda i: (key(front[i]), -front[i].patch_count, -i))
 
 
-def build_report(dataset, config, population, traces) -> RunReport:
-    """Assemble a RunReport from a finished run's population and traces."""
+def build_report(dataset, config, population, traces, baseline=None) -> RunReport:
+    """Assemble a RunReport from a finished run's population and traces.
+
+    ``baseline`` is ``compute_baseline(dataset, config.k_neighbors)``, which
+    depends only on (dataset, k); a multi-seed run scores it once and passes
+    it in. When it is ``None`` it is scored here.
+    """
     layout = dataset.layout
     front = evaluate_front(extract_front(population), dataset, config.k_neighbors)
-    baseline = compute_baseline(dataset, config.k_neighbors)
+    if baseline is None:
+        baseline = compute_baseline(dataset, config.k_neighbors)
     best_val = _argbest(front, lambda s: s.validation_f1)
     best_test = _argbest(front, lambda s: s.test_f1)
     total = layout.total_patches

@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 from functools import cached_property
 
 import pytest
 
-from evops import cli
+from evops import cli, pareto_report
 from evops import dataset as dataset_mod
 from evops.cli import ConfigError, main, parse_seeds
 from evops.dataset import GenomeLayout, load_dataset
@@ -437,3 +438,137 @@ def test_error_without_a_message_names_its_type(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_baseline", out_of_memory)
     assert run_cli("baseline", "--dataset", "unused") == 4
     assert "error: MemoryError" in capsys.readouterr().err
+
+
+def _count_baselines(monkeypatch, score=None):
+    """Patch one counting wrapper onto both modules' ``compute_baseline``."""
+    calls = []
+    original = pareto_report.compute_baseline
+
+    def counting(dataset, k):
+        calls.append(k)
+        return (score or original)(dataset, k)
+
+    monkeypatch.setattr(cli, "compute_baseline", counting)
+    monkeypatch.setattr(pareto_report, "compute_baseline", counting)
+    return calls
+
+
+def test_run_scores_the_baseline_once(small_ds, tmp_path, monkeypatch):
+    calls = _count_baselines(monkeypatch)
+    assert run_cli("run", "--dataset", small_ds, "--out", tmp_path, "--seeds", "1..3",
+                   "--pop-size", "4", "--generations", "1", "--k", "3") == 0
+    assert calls == [3]
+    baselines = {(tmp_path / f"seed_{s}" / "confusion_test_baseline.csv").read_bytes()
+                 for s in (1, 2, 3)}
+    assert len(baselines) == 1
+
+
+def test_run_that_cannot_score_its_baseline_keeps_the_earlier_run(
+        small_ds, tmp_path, monkeypatch, capsys):
+    base = ("run", "--dataset", small_ds, "--out", tmp_path, "--pop-size", "4",
+            "--generations", "1")
+    assert run_cli(*base, "--seeds", "1..2") == 0
+    before = _tree_bytes(tmp_path)
+    searches = []
+
+    def unscorable(dataset, k):
+        raise RuntimeError("cannot score the reference")
+
+    _count_baselines(monkeypatch, unscorable)
+    monkeypatch.setattr(cli, "run_evolution", lambda *a, **kw: searches.append(a))
+    capsys.readouterr()
+    assert run_cli(*base, "--seeds", "2") == 4
+    assert "cannot score the reference" in capsys.readouterr().err
+    assert searches == []
+    assert _tree_bytes(tmp_path) == before
+
+
+def test_parse_seeds_checks_every_entry_before_expanding_a_range():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=">= 0"):
+            parse_seeds("0..99999999999,-1")
+        with pytest.raises(ConfigError, match="distinct"):
+            parse_seeds("0..99999999999,5")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_parse_seeds_finds_overlaps_in_any_order():
+    assert parse_seeds("7..9,1..6") == [7, 8, 9, 1, 2, 3, 4, 5, 6]
+    assert parse_seeds("1..2,3..4") == [1, 2, 3, 4]
+    for text in ("1..3,3", "3,1..3", "4..6,1..4", "1..3,5..7,3..4"):
+        with pytest.raises(ConfigError, match="distinct"):
+            parse_seeds(text)
+
+
+@pytest.mark.parametrize("seeds, message", [("0..99999999999,-1", ">= 0"),
+                                            ("1,,2", "empty seed entry"),
+                                            ("1,", "empty seed entry")])
+def test_run_bad_seeds_exit_2_before_scoring_or_writing(small_ds, tmp_path, capsys,
+                                                        monkeypatch, seeds, message):
+    calls = _count_baselines(monkeypatch)
+    out = tmp_path / "out"
+    assert run_cli("run", "--dataset", small_ds, "--out", out, "--seeds", seeds) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content, message", [(None, "cannot read config"),
+                                              ("{not json", "cannot read config"),
+                                              ("[1, 2]", "must be a JSON object")])
+@pytest.mark.parametrize("command", ["run", "baseline", "gen-synth"])
+def test_unusable_config_file_exit_2(small_ds, tmp_path, capsys, command, content, message):
+    config_path = tmp_path / "config.json"
+    if content is not None:
+        config_path.write_text(content)
+    out = tmp_path / "out"
+    args = ["--out", out, "--config", config_path]
+    if command != "gen-synth":
+        args += ["--dataset", small_ds]
+    assert run_cli(command, *args) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ([1, 2], "must be a JSON object"),
+    ({"dim": 8}, "missing manifest key 'slides'"),
+    ({"dim": 8, "slides": []}, "'slides' must be a non-empty array"),
+    ({"dim": 8, "slides": [{}], "normalization": 1}, "'normalization' must be a string"),
+])
+def test_malformed_manifest_exit_3(tmp_path, capsys, manifest, message):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli("baseline", "--dataset", tmp_path) == 3
+    assert message in capsys.readouterr().err
+
+
+def _without(entry, key):
+    return {k: v for k, v in entry.items() if k != key}
+
+
+@pytest.mark.parametrize("fault, named, detail", [
+    (lambda e: 5, "slide entry 1", "must be objects"),
+    (lambda e: _without(e, "path"), "slide 'probe'", "missing key 'path'"),
+    (lambda e: _without(e, "slide_id"), "slide entry 1", "missing key 'slide_id'"),
+    (lambda e: dict(e, slide_id=7), "slide entry 1", "must be strings"),
+    (lambda e: dict(e, label=3), "slide 'probe'", "must be strings"),
+    (lambda e: dict(e, path="missing.emb"), "slide 'probe'", "missing.emb"),
+    (lambda e: dict(e, path="short.emb"), "slide 'probe'", "short.emb"),
+], ids=["not-an-object", "no-path", "no-slide-id", "int-slide-id", "int-label",
+        "missing-file", "short-file"])
+def test_every_per_slide_load_error_names_the_slide(small_ds, tmp_path, capsys,
+                                                    fault, named, detail):
+    manifest = json.loads((small_ds / "manifest.json").read_text())
+    entries = [dict(e, path=str(small_ds / e["path"])) for e in manifest["slides"]]
+    entries[1] = fault(dict(entries[1], slide_id="probe"))
+    manifest["slides"] = entries
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / "short.emb").write_bytes(b"EVOPS")
+    assert run_cli("baseline", "--dataset", tmp_path) == 3
+    err = capsys.readouterr().err
+    assert named in err and detail in err

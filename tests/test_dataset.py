@@ -301,3 +301,16 @@ def test_manifest_dim_true_is_rejected(tmp_path):
     entries = [{"slide_id": "d", "label": "a", "split": "train", "path": "d.emb", "rows": 2}]
     with pytest.raises(ManifestParseError, match="'dim' must be a positive integer"):
         load_dataset(write_manifest(tmp_path, True, entries))
+
+
+def test_empty_inputs_are_rejected():
+    with pytest.raises(ValidationError, match="no slides"):
+        make_dataset([], [], [])
+    with pytest.raises(ValidationError, match="empty train split"):
+        build_layout([])
+
+
+def test_write_embedding_file_rejects_a_1d_array(tmp_path):
+    with pytest.raises(ValueError, match="2-D"):
+        write_embedding_file(tmp_path / "x.emb", np.zeros(4, dtype=np.float32))
+    assert not (tmp_path / "x.emb").exists()

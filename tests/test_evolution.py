@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -456,3 +457,10 @@ def test_config_rejects_negative_seed():
     EvolutionConfig(seed=0).validate()
     with pytest.raises(ValueError, match="seed"):
         EvolutionConfig(seed=-1).validate()
+
+
+@pytest.mark.parametrize("split", ["train", "validation"])
+def test_run_evolution_rejects_an_empty_split(split):
+    ds = replace(generate(SynthConfig(seed=7)), **{split: ()})
+    with pytest.raises(ValueError, match=f"{split} split is empty"):
+        run_evolution(ds, EvolutionConfig(population_size=4, generations=1))

@@ -528,3 +528,16 @@ def test_class_index_scoring_raises_the_label_path_error(train_labels, eval_labe
     assert expected == f"{message} not in class list"
     assert label_error_message(evaluator.evaluate_full, genomes) == expected
     assert label_error_message(evaluator.evaluate, genomes) == expected
+
+
+def test_degenerate_scoring_inputs_are_rejected():
+    lib = library([[0.0, 0.0], [1.0, 1.0]], ["a", "b"])
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        knn_predict(np.zeros(2), lib, 0)
+    with pytest.raises(ValueError, match="library is empty"):
+        knn_predict(np.zeros(2), library(np.zeros((0, 2)), []), 1)
+    with pytest.raises(ValueError, match="label lists are empty"):
+        confusion_matrix([], [], ("a", "b"))
+    slides = make_slides(np.random.default_rng(0), 4, 3, ["a", "b"])
+    with pytest.raises(ValueError, match="eval_slides is empty"):
+        FitnessEvaluator(build_layout(slides), slides, [], 1)

@@ -395,3 +395,28 @@ def test_baseline_does_not_go_through_evaluate_front(monkeypatch):
     assert (baseline.validation_f1, baseline.test_f1) == (
         expected.validation_f1, expected.test_f1)
     assert np.array_equal(baseline.test_confusion.counts, expected.test_confusion.counts)
+
+
+def test_empty_front_and_no_reports_are_rejected(planted_run):
+    ds, config, _, _, _ = planted_run
+    with pytest.raises(ValueError, match="front is empty"):
+        evaluate_front([], ds, config.k_neighbors)
+    with pytest.raises(ValueError, match="no reports"):
+        aggregate_runs([])
+
+
+def test_build_report_reuses_a_given_baseline(planted_run, tmp_path, monkeypatch):
+    ds, config, population, traces, report = planted_run
+    baseline = compute_baseline(ds, config.k_neighbors)
+
+    def rescored(*args):
+        raise AssertionError("build_report scored a baseline it was given")
+
+    monkeypatch.setattr(pareto_report, "compute_baseline", rescored)
+    given = build_report(ds, config, population, traces, baseline=baseline)
+    assert given.baseline is baseline
+    export_report(report, tmp_path / "scored")
+    export_report(given, tmp_path / "given")
+    for name in ("summary.json", "confusion_val_baseline.csv", "confusion_test_baseline.csv"):
+        assert (tmp_path / "given" / name).read_bytes() == (
+            tmp_path / "scored" / name).read_bytes()

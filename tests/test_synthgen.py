@@ -105,3 +105,8 @@ def test_all_splits_and_classes_present():
     assert {rec.label for rec in ds.train} == set(ds.classes)
     assert {rec.label for rec in ds.validation} == set(ds.classes)
     assert {rec.label for rec in ds.test} == set(ds.classes)
+
+
+def test_config_rejects_zero_dim():
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        SynthConfig(dim=0).validate()
