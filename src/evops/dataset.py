@@ -92,7 +92,7 @@ class SplitDataset:
         h.update(f"dim={self.dim};norm={self.normalization}".encode())
         for rec in self.slides:
             h.update(f"{rec.slide_id}\x00{rec.label}\x00{rec.split}\x00".encode())
-            h.update(np.ascontiguousarray(rec.embeddings, dtype="<f4").tobytes())
+            h.update(np.ascontiguousarray(rec.embeddings, dtype="<f4"))
         return h.hexdigest()
 
     @cached_property

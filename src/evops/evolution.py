@@ -213,11 +213,31 @@ def dominates(a: FitnessPair, b: FitnessPair) -> bool:
     )
 
 
-def _objective_matrix(population) -> np.ndarray:
-    return np.array(
-        [(ind.fitness.f1_fraction, ind.fitness.f2_error) for ind in population],
+def _fronts(population):
+    """Yield ``fast_non_dominated_sort``'s fronts in order, ranking each as it is yielded."""
+    objs = np.array(
+        [(ind.fitness.f1_fraction, ind.fitness.f2_error, ind.fitness.violation)
+         for ind in population],
         dtype=np.float64,
     )
+    f1, f2, viol = objs[:, :1], objs[:, 1:2], objs[:, 2]
+    no_worse = (f1 <= f1.T) & (f2 <= f2.T)
+    better = (f1 < f1.T) | (f2 < f2.T)
+    tied = viol[:, None] == viol[None, :]
+    dom = (viol[:, None] < viol[None, :]) | (tied & no_worse & better)  # i dominates j
+    counts = dom.sum(axis=0).astype(np.int64)
+
+    rank = 0
+    current = np.flatnonzero(counts == 0)
+    while current.size:
+        front = current.tolist()
+        for i in front:
+            population[i].rank = rank
+        yield front
+        counts[current] = -(len(population) + 1)
+        counts -= dom[current].sum(axis=0)
+        current = np.flatnonzero(counts == 0)
+        rank += 1
 
 
 def fast_non_dominated_sort(population) -> list[list[int]]:
@@ -226,26 +246,7 @@ def fast_non_dominated_sort(population) -> list[list[int]]:
     Front 0 holds individuals dominated by none; front i holds those
     dominated only by members of earlier fronts.
     """
-    objs = _objective_matrix(population)
-    viol = np.array([ind.fitness.violation for ind in population], dtype=np.float64)
-    f1, f2 = objs[:, :1], objs[:, 1:]
-    no_worse = (f1 <= f1.T) & (f2 <= f2.T)
-    better = (f1 < f1.T) | (f2 < f2.T)
-    tied = viol[:, None] == viol[None, :]
-    dom = (viol[:, None] < viol[None, :]) | (tied & no_worse & better)  # i dominates j
-    counts = dom.sum(axis=0).astype(np.int64)
-
-    fronts: list[list[int]] = []
-    current = np.flatnonzero(counts == 0)
-    while current.size:
-        fronts.append(current.tolist())
-        counts[current] = -(len(population) + 1)
-        counts -= dom[current].sum(axis=0)
-        current = np.flatnonzero(counts == 0)
-    for rank, front in enumerate(fronts):
-        for i in front:
-            population[i].rank = rank
-    return fronts
+    return list(_fronts(population))
 
 
 def crowding_distance(front_fitness) -> list[float]:
@@ -270,11 +271,10 @@ def crowding_distance(front_fitness) -> list[float]:
     return dist.tolist()
 
 
-def _assign_crowding(population, front) -> list[float]:
+def _assign_crowding(population, front) -> None:
     dists = crowding_distance([population[i].fitness for i in front])
     for i, d in zip(front, dists):
         population[i].crowding = d
-    return dists
 
 
 def rank_population(population) -> list[list[int]]:
@@ -307,19 +307,17 @@ def select_survivors(combined, population_size) -> list[Individual]:
 
     The overflowing front is cut by descending crowding distance computed
     within that front, ties broken by lower index in the combined list.
+    Members of fronts after the cut are discarded unranked; every survivor
+    gets a fresh rank and crowding.
     """
-    fronts = fast_non_dominated_sort(combined)
     survivors: list[Individual] = []
-    for front in fronts:
-        dists = _assign_crowding(combined, front)
-        if len(survivors) + len(front) <= population_size:
-            survivors.extend(combined[i] for i in front)
-            if len(survivors) == population_size:
-                break
-        else:
-            need = population_size - len(survivors)
-            order = sorted(range(len(front)), key=lambda t: (-dists[t], front[t]))
-            survivors.extend(combined[front[t]] for t in order[:need])
+    for front in _fronts(combined):
+        _assign_crowding(combined, front)
+        need = population_size - len(survivors)
+        if len(front) > need:
+            front = sorted(front, key=lambda i: (-combined[i].crowding, i))
+        survivors.extend(combined[i] for i in front[:need])
+        if len(survivors) == population_size:
             break
     return survivors
 

@@ -120,9 +120,16 @@ def aggregate_selected(genome, layout, train_slides) -> ReferenceLibrary:
     exact sums for slides of up to 512 patches, and then every batch shape
     gives the same bits.
 
-    Raises CoverageViolation naming the slide of the first empty segment of
-    the first genome that has one.
+    ``train_slides`` names the library's rows and must be the layout's own
+    slides, in order (ValueError otherwise): the sums come from
+    ``layout.matrix``. Raises CoverageViolation naming the slide of the
+    first empty segment of the first genome that has one.
     """
+    # Identity, not ==: SlideRecord equality compares embedding arrays.
+    if len(train_slides) != len(layout.slides) or any(
+        a is not b for a, b in zip(train_slides, layout.slides)
+    ):
+        raise ValueError("train_slides must be the layout's slides, in layout order")
     batched = np.ndim(genome) == 2
     genomes = genome_matrix(genome, layout)
     counts = segment_popcounts(genomes, layout)

@@ -200,7 +200,11 @@ def _mean_std(values) -> dict:
 
 
 def aggregate_runs(reports) -> AggregateReport:
-    """Mean/std of best-val and best-test scores and sizes across runs."""
+    """Mean/std of best-val and best-test scores and sizes across runs.
+
+    The runs must share a dataset (MixedDatasetError otherwise) and every
+    config field but ``seed`` (ValueError otherwise).
+    """
     reports = list(reports)
     if not reports:
         raise ValueError("no reports to aggregate")
@@ -211,6 +215,13 @@ def aggregate_runs(reports) -> AggregateReport:
                 "reports span different datasets: "
                 f"{rep.dataset_hash[:12]} != {first.dataset_hash[:12]}"
             )
+    for rep in reports[1:]:
+        for field in fields(EvolutionConfig):
+            value, expected = getattr(rep.config, field.name), getattr(first.config, field.name)
+            if field.name != "seed" and value != expected:
+                raise ValueError(
+                    f"reports differ in config field {field.name}: {value!r} != {expected!r}"
+                )
 
     def stats_at(index_of):
         sols = [rep.front[index_of(rep)] for rep in reports]

@@ -115,6 +115,24 @@ def lexicographic_survivors(ranks, crowdings, population_size):
     return sorted(order[:population_size])
 
 
+def survivor_order(ranks, crowdings, population_size):
+    """Survivor indices in selection order, from a full ranking.
+
+    Fronts go in rank order; a front that fits goes whole, in index order,
+    and the front that overflows gives its members by (crowding desc, index).
+    """
+    order = []
+    for rank in sorted(set(ranks)):
+        front = [i for i, r in enumerate(ranks) if r == rank]
+        room = population_size - len(order)
+        if len(front) <= room:
+            order += front
+        else:
+            order += sorted(front, key=lambda i: (-crowdings[i], i))[:room]
+            break
+    return order
+
+
 def straight_line_retrieval_auc(genome, layout, train_slides, eval_slides):
     """Mean retrieval AUC of a genome's library, by counting pairs one by one.
 

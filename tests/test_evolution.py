@@ -23,7 +23,7 @@ from evops.evolution import (
 )
 from evops.fitness import FitnessPair
 from evops.synthgen import SynthConfig, generate
-from oracles import brute_force_fronts, lexicographic_survivors
+from oracles import brute_force_fronts, lexicographic_survivors, survivor_order
 
 
 def random_layout(rng, max_slides=20, max_len=30):
@@ -320,6 +320,35 @@ def test_survivors_match_lexicographic_oracle():
         survivors = select_survivors(pop, 100)
         got = sorted(pop.index(ind) for ind in survivors)
         assert got == lexicographic_survivors(ranks, crowdings, 100)
+
+
+def test_survivors_leave_fronts_after_the_cut_unranked():
+    # a dominance chain: every front has one member, and three fill the survivors
+    pop = pop_from_pairs([(0.1 * i, 0.1 * i) for i in range(10)])
+    survivors = select_survivors(pop, 3)
+    assert survivors == pop[:3]
+    assert [ind.rank for ind in pop] == [0, 1, 2] + [None] * 7
+
+
+def test_survivor_order_matches_straight_line_oracle():
+    # coarse grids give duplicate points and equal crowding; violations add
+    # infeasible fronts
+    rng = np.random.default_rng(19)
+    for _ in range(50):
+        n = int(rng.integers(2, 40))
+        pairs = [
+            FitnessPair(float(a) / 4, float(b) / 4, float(v))
+            for a, b, v in zip(rng.integers(0, 5, n), rng.integers(0, 5, n),
+                               rng.choice([0.0, 0.0, 0.1, 0.3], n))
+        ]
+        pop = [Individual(genome=np.ones(1, dtype=bool), fitness=p) for p in pairs]
+        rank_population(pop)
+        ranks = [ind.rank for ind in pop]
+        crowdings = [ind.crowding for ind in pop]
+        size = int(rng.integers(1, n + 1))
+        position = {id(ind): i for i, ind in enumerate(pop)}
+        got = [position[id(ind)] for ind in select_survivors(pop, size)]
+        assert got == survivor_order(ranks, crowdings, size)
 
 
 def test_run_zero_generations_returns_initial():

@@ -90,6 +90,27 @@ def test_aggregate_raises_on_empty_segment():
         aggregate_selected(genome, layout, slides)
 
 
+def test_aggregate_rejects_slides_that_are_not_the_layouts():
+    rng = np.random.default_rng(3)
+    slides = make_slides(rng, 4, 4, ["a", "b"])
+    layout = build_layout(slides)
+    genome = np.ones(layout.total_patches, dtype=bool)
+    copies = [SlideRecord(r.slide_id, r.label, r.split, r.embeddings) for r in slides]
+    for other in (slides[::-1], slides[:3], copies):
+        with pytest.raises(ValueError, match="layout's slides"):
+            aggregate_selected(genome, layout, other)
+
+
+def test_evaluate_individual_rejects_train_slides_out_of_layout_order():
+    # labels and ids from reversed slides would silently mislabel the
+    # layout's rows
+    ds = generate(SynthConfig(seed=7))
+    layout = build_layout(ds.train)
+    genome = np.ones(layout.total_patches, dtype=bool)
+    with pytest.raises(ValueError, match="layout's slides"):
+        evaluate_individual(genome, layout, ds.train[::-1], ds.validation, 5, ds.classes)
+
+
 def library(vectors, labels):
     return ReferenceLibrary(
         vectors=np.asarray(vectors, dtype=np.float64),

@@ -206,6 +206,14 @@ def test_aggregate_rejects_mixed_datasets(planted_run):
         aggregate_runs([report, report_b])
 
 
+def test_aggregate_rejects_mixed_configs(planted_run):
+    _, config, _, _, report = planted_run
+    config_b = replace(config, seed=config.seed + 1, k_neighbors=config.k_neighbors + 1)
+    report_b = replace(report, config=config_b)
+    with pytest.raises(ValueError, match="k_neighbors"):
+        aggregate_runs([report, report_b])
+
+
 def test_aggregate_matches_external_recomputation(planted_run, tmp_path):
     # spreadsheet-style oracle: recompute aggregate stats from exported CSVs
     ds, config, _, _, _ = planted_run
