@@ -128,7 +128,16 @@ def _run_one_seed(dataset, config, baseline, seed, out_dir):
 
     population, traces = run_evolution(dataset, cfg, on_generation=progress)
     report = build_report(dataset, cfg, population, traces, baseline)
-    export_report(report, Path(out_dir) / f"seed_{seed}")
+    # Export beside the seed's directory, then swap it in: a run killed on
+    # the way leaves the earlier seed_<n> or none, never a mix of the two.
+    final = Path(out_dir) / f"seed_{seed}"
+    partial = final.with_name(f".{final.name}.partial")
+    old = final.with_name(f".{final.name}.old")
+    export_report(report, partial)
+    if final.exists():
+        final.rename(old)
+    partial.rename(final)
+    shutil.rmtree(old, ignore_errors=True)
     return report
 
 
@@ -143,10 +152,12 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # An earlier run's other seeds and aggregate must not pass for part of
-    # this run's result, also when this run is killed before it finishes.
+    # this run's result, also when this run is killed before it finishes;
+    # nor may a killed run's half-swapped seed directories.
     kept = {f"seed_{s}" for s in seeds}
     for path in out_dir.iterdir():
-        if path.is_dir() and re.fullmatch(r"seed_\d+", path.name) and path.name not in kept:
+        stale = re.fullmatch(r"seed_\d+", path.name) and path.name not in kept
+        if path.is_dir() and (stale or re.fullmatch(r"\.seed_\d+\.(partial|old)", path.name)):
             shutil.rmtree(path)
     (out_dir / "aggregate.json").unlink(missing_ok=True)
 

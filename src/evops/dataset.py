@@ -133,6 +133,56 @@ class GenomeLayout:
         # Keep astype: freeing the float32 stack lifts glibc's mmap threshold, speeding scoring.
         return np.concatenate([rec.embeddings for rec in self.slides]).astype(np.float64)
 
+    @cached_property
+    def column_slices(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """The (slide, dim) columns of ``matrix`` whose sums may round, split.
+
+        Maps a slide index to ``(dims, slices)``: the slide's columns that
+        ``truncate_columns`` finds inexact, and their ``exact_slices``
+        stacked as an (n_slices, length, len(dims)) array. Slides whose
+        columns are all exact are left out; on Gaussian embeddings that is
+        nearly every slide.
+        """
+        split = {}
+        for s, (_, offset, length) in enumerate(self.segments):
+            rows = self.matrix[offset : offset + length]
+            dims = np.flatnonzero(~truncate_columns(rows)[1])
+            if dims.size:
+                split[s] = (dims, np.stack(exact_slices(rows[:, dims])))
+        return split
+
+
+def truncate_columns(columns) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's values truncated toward zero to multiples of 2**(E - 53),
+    and which columns that leaves unchanged.
+
+    E is the column's smallest exponent with sum(|x|) < 2**E, and one more
+    for the rounding of that sum itself. A column left unchanged holds
+    multiples of 2**(E - 53) only, so every sum of any subset of it, in any
+    order, is a multiple of 2**(E - 53) below 2**E: a float64, exactly. A
+    column with a non-finite value counts as unchanged; no split helps it.
+    """
+    total = np.abs(columns).sum(axis=0)
+    exponent = np.frexp(total)[1] - 52  # E - 53
+    heads = np.ldexp(np.trunc(np.ldexp(columns, -exponent)), exponent)
+    return heads, (heads == columns).all(axis=0) | ~np.isfinite(total)
+
+
+def exact_slices(columns) -> list[np.ndarray]:
+    """Finite ``columns`` as slices that add back to them exactly, in order.
+
+    Each slice is unchanged by ``truncate_columns``, so its column sums
+    are exact whatever the summation order; the first is the columns'
+    truncated heads, and each later one splits what the heads left.
+    """
+    slices = []
+    heads, exact = truncate_columns(columns)
+    while not exact.all():
+        slices.append(heads)
+        columns = columns - heads  # exact: the bits below the heads
+        heads, exact = truncate_columns(columns)
+    return slices + [columns]
+
 
 def build_layout(train_slides) -> GenomeLayout:
     """Assign each training slide a contiguous genome segment, in order."""

@@ -114,11 +114,12 @@ def aggregate_selected(genome, layout, train_slides) -> ReferenceLibrary:
     ``genome`` is one (P,) genome, giving (S, dim) vectors, or an (N, P)
     matrix, giving (N, S, dim). Each slide's sums are one matrix product of
     its columns of the genome matrix with its rows of ``layout.matrix``.
-    The products are exact (each bit is 0 or 1), so the result depends on
-    the summation order only when a float64 sum rounds; float32 embeddings
-    within 2**20 of each other in magnitude per slide and dimension give
-    exact sums for slides of up to 512 patches, and then every batch shape
-    gives the same bits.
+    The products are exact (each bit is 0 or 1), and so is every sum, in
+    any order, of a column that ``dataset.truncate_columns`` leaves
+    unchanged. The other columns (``layout.column_slices``) are summed
+    again slice by slice, each slice exactly, and the slices are added in
+    a fixed order. So a library's bits do not depend on the batch shape,
+    the block size, the BLAS kernel or its thread count.
 
     ``train_slides`` names the library's rows and must be the layout's own
     slides, in order (ValueError otherwise): the sums come from
@@ -143,7 +144,13 @@ def aggregate_selected(genome, layout, train_slides) -> ReferenceLibrary:
     vectors = np.empty((len(genomes), layout.n_slides, matrix.shape[1]))
     for s, (_, offset, length) in enumerate(layout.segments):
         segment = slice(offset, offset + length)
-        np.matmul(genomes[:, segment].astype(np.float64), matrix[segment], out=vectors[:, s])
+        selected = genomes[:, segment].astype(np.float64)
+        np.matmul(selected, matrix[segment], out=vectors[:, s])
+        if s in layout.column_slices:
+            dims, slices = layout.column_slices[s]
+            # Each slice's sums are exact; adding them in slice order rounds
+            # the same way in any batch.
+            vectors[:, s, dims] = functools.reduce(np.add, selected @ slices)
     vectors /= counts[..., None]
     return ReferenceLibrary(
         vectors=vectors if batched else vectors[0],
@@ -383,9 +390,12 @@ def weighted_f1(true_labels, predicted_labels, classes) -> float:
     )
 
 
-# evaluate_full aggregates a batch in blocks of rows holding at most this
-# many library values (1 MiB of float64), so the memory a batch adds is
-# bounded whatever its size. Each block reads the whole training matrix.
+# evaluate_full aggregates a batch in blocks of rows whose libraries hold at
+# most this many values (1 MiB of float64) or as many as the training
+# matrix, whichever is more. Each block reads the whole matrix, so a batch
+# whose libraries are smaller than the matrix reads it once, and a block's
+# libraries take no more memory than 1 MiB or the matrix. Library bits do
+# not depend on the block (see aggregate_selected).
 _LIBRARY_CELLS = 1 << 17
 # Each library block is scored in blocks of genomes whose k-NN and AUC work
 # arrays hold at most about this many float64 values (2 MiB): per genome
@@ -523,7 +533,8 @@ class FitnessEvaluator:
         ``genome`` is one (P,) genome, giving one (FitnessPair,
         ConfusionMatrix), or an (N, P) matrix, giving a list of N of them.
         The libraries of a matrix are aggregated a block of rows at a time,
-        at most ``_LIBRARY_CELLS`` library values per block. Each library
+        at most ``_LIBRARY_CELLS`` library values or the training matrix's
+        size per block, whichever is larger. Each library
         block is scored in blocks of genomes that fit ``_SCORING_CELLS``
         work values, at least one: distances, k-NN, confusion counts,
         weighted F1 and the retrieval AUC each run once on a whole block.
@@ -532,7 +543,8 @@ class FitnessEvaluator:
         rows. A genome's bits do not depend on its block.
         """
         genomes = genome_matrix(genome, self.layout)
-        library_rows = max(1, _LIBRARY_CELLS // self._queries.shape[1] // self.layout.n_slides)
+        cells = max(_LIBRARY_CELLS, self.layout.matrix.size)
+        library_rows = max(1, cells // self._queries.shape[1] // self.layout.n_slides)
         scoring_rows = self._scoring_rows()
         results = []
         for start in range(0, len(genomes), library_rows):

@@ -2,10 +2,14 @@
 
 Layouts, labels, genome matrices (with repeated rows) and k are drawn by
 hypothesis; embeddings are seeded float32 standard normals, as the
-synthetic cohorts hold them. Their per-slide float64 sums are exact, so
-the batched aggregation must give the same bits whatever the batch.
+synthetic cohorts hold them. Large slides of values spanning many
+magnitudes, half of them zero, as post-ReLU features hold them, have
+per-slide float64 sums that round; there the layout's exact slices must
+give every library the bits it has alone, whatever the batch or block.
 """
 
+import functools
+import math
 from unittest import mock
 
 import numpy as np
@@ -14,8 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evops import fitness
-from evops.dataset import SlideRecord, build_layout
+from evops.dataset import SlideRecord, build_layout, truncate_columns
 from evops.fitness import FitnessEvaluator, aggregate_selected
+from evops.synthgen import SynthConfig, generate
 from oracles import straight_line_fitness, straight_line_retrieval_auc
 
 
@@ -138,3 +143,128 @@ def test_block_and_knn_path_match_single_genome_scoring(cohort, block_cells, exa
                     assert abs(pair.violation - max(0.0, shortfall)) <= 1e-9
                 else:
                     assert pair.violation == 0.0
+
+
+@functools.lru_cache(maxsize=1)
+def _wide_range_cohort(dim):
+    """(train, eval, layout, 24 genomes): three 3000-patch float32 training
+    slides of lognormal (sigma 3) values, half of them zero."""
+    rng = np.random.default_rng(dim)
+
+    def wide(labels, rows, split):
+        values = rng.lognormal(0.0, 3.0, (len(labels), rows, dim))
+        values[rng.random(values.shape) < 0.5] = 0.0
+        return [SlideRecord(f"{split}{i}", label, split, x.astype(np.float32))
+                for i, (label, x) in enumerate(zip(labels, values))]
+
+    train = wide(["a", "b", "a"], 3000, "train")
+    evals = wide(["a", "b"], 40, "validation")
+    layout = build_layout(train)
+    genomes = rng.random((24, layout.total_patches)) < 0.5
+    genomes[:, layout.offsets] = True
+    return train, evals, layout, genomes
+
+
+@pytest.mark.parametrize("library_cells", [1, 1 << 62], ids=["small-cap", "large-cap"])
+@pytest.mark.parametrize("dim", [64, 384])
+def test_wide_range_libraries_have_single_genome_bits(dim, library_cells):
+    train, evals, layout, genomes = _wide_range_cohort(dim)
+    singles = [aggregate_selected(row, layout, train).vectors.tobytes() for row in genomes]
+    for size in (5, len(genomes)):
+        rows = [vectors.tobytes()
+                for start in range(0, len(genomes), size)
+                for vectors in aggregate_selected(genomes[start : start + size], layout,
+                                                  train).vectors]
+        assert rows == singles
+
+    libraries = []
+
+    def recording(*args):
+        library = aggregate_selected(*args)
+        libraries.extend(vectors.tobytes() for vectors in library.vectors)
+        return library
+
+    with mock.patch.multiple(fitness, _LIBRARY_CELLS=library_cells,
+                             aggregate_selected=recording):
+        FitnessEvaluator(layout, train, evals, 3).evaluate_full(genomes)
+    assert libraries == singles
+
+
+def _rule_bits(columns):
+    """E - L per column, from the rule's own terms: sum(|x|) < 2**E, with a
+    bit to spare for rounding that sum, and each value a multiple of 2**L."""
+    high = np.frexp(np.abs(columns).sum(axis=0))[1] + 1
+    mantissa, exponent = np.frexp(columns)
+    digits = np.ldexp(mantissa, 53).astype(np.int64)  # the 53-bit significands
+    low = exponent - 54 + np.frexp(digits & -digits)[1]  # each value's lowest set bit
+    low = np.where(columns == 0, high, low).min(axis=0)
+    return high - low
+
+
+def test_columns_over_the_bound_split_into_exact_slices():
+    _, _, layout, _ = _wide_range_cohort(64)
+    split = layout.column_slices
+    assert split  # wide-range sums round
+    for s, (_, offset, length) in enumerate(layout.segments):
+        rows = layout.matrix[offset : offset + length]
+        over = np.flatnonzero(_rule_bits(rows) > 53)
+        assert np.array_equal(np.flatnonzero(~truncate_columns(rows)[1]), over)
+        if not over.size:
+            assert s not in split
+            continue
+        dims, slices = split[s]
+        assert np.array_equal(dims, over)
+        assert functools.reduce(np.add, slices).tobytes() == rows[:, dims].tobytes()
+        for piece in slices:
+            assert (_rule_bits(piece) <= 53).all()
+            assert truncate_columns(piece)[1].all()
+            for column in piece.T[:4].tolist():  # any order gives the exact sum
+                assert sum(column) == sum(reversed(column)) == math.fsum(column)
+
+
+@pytest.mark.parametrize("config", [
+    SynthConfig(seed=7),
+    SynthConfig(classes=4, train_slides_per_class=20, validation_slides_per_class=5,
+                test_slides_per_class=5, dim=24, seed=3),
+], ids=["quick-start", "four-class"])
+def test_gaussian_layouts_need_no_slice(config):
+    layout = generate(config).layout
+    assert layout.column_slices == {}
+    assert (_rule_bits(layout.matrix) <= 53).all()
+
+
+def test_a_generation_of_a_wide_dim_cohort_aggregates_in_one_pass():
+    """30 slides of 130-260 patches at dim 384: 100 genomes' libraries take
+    less than the training matrix, so they are one block."""
+    rng = np.random.default_rng(5)
+    train = slides(rng, ["a", "b", "c"] * 10, rng.integers(130, 261, 30), 384, "train")
+    evals = slides(rng, ["a", "b", "c"], [20, 20, 20], 384, "validation")
+    layout = build_layout(train)
+    genomes = rng.random((100, layout.total_patches)) < 0.1
+    genomes[:, layout.offsets] = True
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return aggregate_selected(*args)
+
+    with mock.patch.object(fitness, "aggregate_selected", counting):
+        FitnessEvaluator(layout, train, evals, 5).evaluate_full(genomes)
+    assert calls == [100]
+
+
+def test_the_all_patches_genome_is_feasible_inside_a_batch():
+    train, evals, layout, genomes = _wide_range_cohort(64)
+    ones = np.ones(layout.total_patches, dtype=bool)
+    evaluator = FitnessEvaluator(layout, train, evals, 1, constrained=True)
+    batch = np.concatenate([genomes[:12], ones[None], genomes[12:]])
+    assert evaluator.evaluate_full(batch)[12][0].violation == 0.0
+
+
+def test_columns_with_non_finite_values_are_not_split():
+    values = np.array([[1.0, np.inf, np.nan], [2.0**-60, 1.0, 1.0]], dtype=np.float32)
+    train = [SlideRecord("train0", "a", "train", values)]
+    layout = build_layout(train)
+    assert layout.column_slices[0][0].tolist() == [0]  # 1 + 2**-60 rounds
+    mean = aggregate_selected(np.ones(2, dtype=bool), layout, train).vectors[0]
+    assert mean[0] == 0.5 and mean[1] == np.inf and np.isnan(mean[2])

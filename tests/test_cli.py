@@ -358,6 +358,30 @@ def _tree_bytes(root):
             if p.is_file()}
 
 
+def test_a_rerun_killed_mid_export_keeps_the_earlier_seed_directory(small_ds, tmp_path,
+                                                                    monkeypatch):
+    base = ("run", "--dataset", small_ds, "--out", tmp_path, "--pop-size", "4",
+            "--seeds", "1")
+    assert run_cli(*base, "--generations", "1") == 0
+    before = _tree_bytes(tmp_path / "seed_1")
+    write_json = pareto_report.write_json
+
+    def killed_at_the_summary(path, *args, **kwargs):
+        if path.name == "summary.json":  # after the front, confusions and trace
+            raise RuntimeError("killed")
+        return write_json(path, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pareto_report, "write_json", killed_at_the_summary)
+        assert run_cli(*base, "--generations", "3") == 4
+    assert _tree_bytes(tmp_path / "seed_1") == before
+
+    # The next run removes the killed run's temporary directory.
+    assert run_cli(*base, "--generations", "3") == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["aggregate.json", "seed_1"]
+    assert _tree_bytes(tmp_path / "seed_1") != before
+
+
 def test_parse_seeds_rejects_negative_entries():
     for text in ("-1", "1,-1", "-2..1"):
         with pytest.raises(ConfigError, match=">= 0"):
