@@ -23,7 +23,7 @@ print(f"{len(dataset.train)} training slides, P={P} patches, "
 
 # --- the all-ones genome reproduces plain slide means -----------------------
 ones = np.ones(P, dtype=bool)
-library = aggregate_selected(ones, layout, dataset.train)
+library = aggregate_selected(ones, layout)
 print(f"\nreference library: {library.vectors.shape[0]} rows x "
       f"{library.vectors.shape[1]} dims")
 
@@ -42,8 +42,7 @@ for name, genome in [
     ("all patches", ones),
     ("planted informative subset", oracle_genome(dataset, 0.2)),
 ]:
-    pair, confusion = evaluate_individual(genome, layout, dataset.train,
-                                          dataset.validation, 5,
+    pair, confusion = evaluate_individual(genome, layout, dataset.validation, 5,
                                           classes=dataset.classes)
     print(f"\n{name}: fraction={pair.f1_fraction:.3f}  "
           f"validation error={pair.f2_error:.3f}")

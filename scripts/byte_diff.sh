@@ -1,0 +1,62 @@
+#!/usr/bin/env bash
+# Byte-identity check of evops's outputs between two source trees.
+#
+# Usage: scripts/byte_diff.sh BASE_TREE HEAD_TREE WORK_DIR
+#
+# Runs the same commands once with each tree's own package
+# (PYTHONPATH=<tree>/src python -m evops.cli), in WORK_DIR/base and
+# WORK_DIR/head, with the same relative paths. Every output file is kept,
+# and so are each command's stdout, stderr and exit code (logs/). Exits 1
+# when the two trees' outputs differ in any byte; `diff -r` names where.
+#
+# The commands: the quick-start cohort (gen-synth --seed 7) and a 4-class
+# dim-24 cohort whose k-NN takes the shortlist path; on each,
+# run --seeds 1..2 --generations 15 under the guided and the paper search,
+# and baseline --out. Both sides should run on one machine with one BLAS.
+set -euo pipefail
+
+if [ $# -ne 3 ]; then
+  echo "usage: $0 BASE_TREE HEAD_TREE WORK_DIR" >&2
+  exit 2
+fi
+mkdir -p "$3"
+work=$(cd "$3" && pwd -P)
+python=${PYTHON:-python}
+
+# step NAME ARGS...: one evops command, its streams and exit code kept.
+step() {
+  local name=$1 code=0
+  shift
+  "$python" -m evops.cli "$@" >"logs/$name.stdout" 2>"logs/$name.stderr" || code=$?
+  echo "$code" >"logs/$name.exit"
+}
+
+run_tree() {
+  local src side=$2
+  src=$(cd "$1/src" && pwd -P)
+  mkdir "$work/$side"  # fails if an earlier check left it
+  cd "$work/$side"
+  export PYTHONPATH=$src
+  local found
+  found=$("$python" -c 'import os, evops; print(os.path.realpath(evops.__file__))')
+  case $found in
+    "$src"/*) echo "$side: evops from $found" ;;
+    *) echo "$side: evops imported from $found, not from $src" >&2; exit 1 ;;
+  esac
+  mkdir logs
+  step gen-quick gen-synth --out quick --seed 7
+  step gen-four gen-synth --out four --classes 4 --train-per-class 20 \
+    --val-per-class 5 --test-per-class 5 --dim 24 --seed 3
+  for cohort in quick four; do
+    for search in guided paper; do
+      step "run-$cohort-$search" run --dataset "$cohort" --out "runs/$cohort-$search" \
+        --seeds 1..2 --generations 15 --search "$search"
+    done
+    step "baseline-$cohort" baseline --dataset "$cohort" --out "baseline/$cohort"
+  done
+}
+
+(run_tree "$1" base)
+(run_tree "$2" head)
+diff -r "$work/base" "$work/head"
+echo "identical: $(find "$work/head" -type f | wc -l) files"

@@ -191,6 +191,8 @@ def build_layout(train_slides) -> GenomeLayout:
     segments = []
     offset = 0
     for i, rec in enumerate(train_slides):
+        if not rec.rows:
+            raise ValidationError(f"slide '{rec.slide_id}': slide has zero patches")
         segments.append((i, offset, rec.rows))
         offset += rec.rows
     return GenomeLayout(total_patches=offset, segments=tuple(segments),

@@ -371,7 +371,7 @@ def run_evolution(dataset: SplitDataset, config: EvolutionConfig, workers=1,
     layout = dataset.layout
     guided = config.search == "guided"
     evaluator = FitnessEvaluator(
-        layout, dataset.train, dataset.validation, config.k_neighbors,
+        layout, dataset.validation, config.k_neighbors,
         classes=dataset.classes, constrained=guided,
     )
     rng = np.random.default_rng(config.seed)

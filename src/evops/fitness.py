@@ -70,12 +70,12 @@ class ConfusionMatrix:
 
 @dataclass(frozen=True)
 class ReferenceLibrary:
-    """One aggregated vector per represented training slide, with provenance.
+    """One aggregated vector per training slide, with the slides' labels.
 
-    ``vectors`` is (S, dim), or (N, S, dim) for a batch of N genomes; the
-    labels and slide ids are shared by every row of a batch. ``labels`` may
-    be any sortable hashable values; ``aggregate_selected`` gives the
-    slides' labels, and ``FitnessEvaluator`` replaces them with class indices.
+    ``vectors`` is (S, dim), or (N, S, dim) for a batch of N genomes, in the
+    layout's slide order; the labels are shared by every row of a batch.
+    ``labels`` may be any sortable hashable values: ``aggregate_selected``
+    gives the slides' labels, and ``FitnessEvaluator`` class indices.
 
     ``query_distances``, when set, holds the expanded squared distances
     (``expanded_sq_distances``) from the Q queries that ``knn_predict``
@@ -85,7 +85,6 @@ class ReferenceLibrary:
 
     vectors: np.ndarray  # (S, dim) or (N, S, dim) float64
     labels: tuple
-    slide_ids: tuple[str, ...]
     query_distances: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -108,7 +107,7 @@ def genome_matrix(genome, layout) -> np.ndarray:
     return genomes.reshape(-1, layout.total_patches)
 
 
-def aggregate_selected(genome, layout, train_slides) -> ReferenceLibrary:
+def aggregate_selected(genome, layout) -> ReferenceLibrary:
     """Build the reference library: per-slide mean over selected patches only.
 
     ``genome`` is one (P,) genome, giving (S, dim) vectors, or an (N, P)
@@ -121,16 +120,10 @@ def aggregate_selected(genome, layout, train_slides) -> ReferenceLibrary:
     a fixed order. So a library's bits do not depend on the batch shape,
     the block size, the BLAS kernel or its thread count.
 
-    ``train_slides`` names the library's rows and must be the layout's own
-    slides, in order (ValueError otherwise): the sums come from
-    ``layout.matrix``. Raises CoverageViolation naming the slide of the
-    first empty segment of the first genome that has one.
+    Row s of a library is ``layout.slides[s]``, and carries its label.
+    Raises CoverageViolation naming the slide of the first empty segment
+    of the first genome that has one.
     """
-    # Identity, not ==: SlideRecord equality compares embedding arrays.
-    if len(train_slides) != len(layout.slides) or any(
-        a is not b for a, b in zip(train_slides, layout.slides)
-    ):
-        raise ValueError("train_slides must be the layout's slides, in layout order")
     batched = np.ndim(genome) == 2
     genomes = genome_matrix(genome, layout)
     counts = segment_popcounts(genomes, layout)
@@ -138,7 +131,7 @@ def aggregate_selected(genome, layout, train_slides) -> ReferenceLibrary:
         row, bad = np.argwhere(counts == 0)[0]
         which = f" of genome {row}" if batched else ""
         raise CoverageViolation(
-            f"segment {bad}{which} (slide '{train_slides[bad].slide_id}') has no selected patch"
+            f"segment {bad}{which} (slide '{layout.slides[bad].slide_id}') has no selected patch"
         )
     matrix = layout.matrix
     vectors = np.empty((len(genomes), layout.n_slides, matrix.shape[1]))
@@ -154,8 +147,7 @@ def aggregate_selected(genome, layout, train_slides) -> ReferenceLibrary:
     vectors /= counts[..., None]
     return ReferenceLibrary(
         vectors=vectors if batched else vectors[0],
-        labels=tuple(rec.label for rec in train_slides),
-        slide_ids=tuple(rec.slide_id for rec in train_slides),
+        labels=tuple(rec.label for rec in layout.slides),
     )
 
 
@@ -408,8 +400,10 @@ _SCORING_CELLS = 1 << 18
 
 
 class FitnessEvaluator:
-    """Evaluates genomes against one fixed (train, eval) slide pairing.
+    """Evaluates genomes of ``layout`` against one fixed evaluation split.
 
+    The training labels, the default ``classes`` and the retrieval queries
+    come from ``layout.slides``, the one handle on the training split.
     Caches the evaluation-slide mean vectors (they never change within a
     run) and previously computed fitness pairs keyed by genome digest;
     ``evaluate`` computes each distinct genome of a batch once, whether it
@@ -422,17 +416,15 @@ class FitnessEvaluator:
     falls below the AUC of the library that keeps every patch.
     """
 
-    def __init__(self, layout, train_slides, eval_slides, k, classes=None,
-                 constrained=False):
+    def __init__(self, layout, eval_slides, k, classes=None, constrained=False):
         if not eval_slides:
             raise ValueError("eval_slides is empty")
         self.layout = layout
-        self.train_slides = tuple(train_slides)
         self.eval_slides = tuple(eval_slides)
         self.k = int(k)
         if classes is None:
             classes = sorted(
-                {rec.label for rec in self.train_slides}
+                {rec.label for rec in layout.slides}
                 | {rec.label for rec in self.eval_slides}
             )
         self.classes = tuple(classes)
@@ -441,7 +433,7 @@ class FitnessEvaluator:
         # outside ``classes`` share an index; the k-NN votes in these.
         n_eval = len(self.eval_slides)
         codes, self._names = class_codes(
-            [rec.label for rec in self.eval_slides + self.train_slides], self.classes
+            [rec.label for rec in self.eval_slides + layout.slides], self.classes
         )
         self._truth = codes[:n_eval]
         self._train_codes = tuple(codes[n_eval:].tolist())
@@ -455,7 +447,7 @@ class FitnessEvaluator:
         # Queries: every evaluation slide, then every training slide, each as
         # the mean of all its patches. A training slide is left out of its
         # own ranking: its distance is +inf, which sorts it last.
-        n_eval, n_train = len(self.eval_slides), len(self.train_slides)
+        n_eval, n_train = len(self.eval_slides), self.layout.n_slides
         codes = np.concatenate([self._truth, self._train_codes])
         same = codes[:, None] == codes[None, n_eval:]
         same[n_eval + np.arange(n_train), np.arange(n_train)] = False  # the query slide itself
@@ -464,7 +456,7 @@ class FitnessEvaluator:
         n_other[:n_eval] += 1
         keep = n_same * n_other > 0  # queries with both kinds of library slide
         queries = np.concatenate(
-            [self._queries, np.stack([slide_mean_all(rec) for rec in self.train_slides])]
+            [self._queries, np.stack([slide_mean_all(rec) for rec in self.layout.slides])]
         )[keep]
         self._retrieval_queries = queries
         self._retrieval_norms = np.einsum("ij,ij->i", queries, queries)
@@ -489,7 +481,7 @@ class FitnessEvaluator:
         library slide are skipped; with none left the AUC is 0. Distances
         use ``expanded_sq_distances``.
         """
-        library = aggregate_selected(genome, self.layout, self.train_slides)
+        library = aggregate_selected(genome, self.layout)
         return self._library_auc(self._retrieval_distances(library.vectors))
 
     def _retrieval_distances(self, vectors) -> np.ndarray:
@@ -549,7 +541,7 @@ class FitnessEvaluator:
         results = []
         for start in range(0, len(genomes), library_rows):
             block = genomes[start : start + library_rows]
-            library = aggregate_selected(block, self.layout, self.train_slides)
+            library = aggregate_selected(block, self.layout)
             for part in range(0, len(block), scoring_rows):
                 rows = slice(part, part + scoring_rows)
                 part_library = replace(
@@ -601,11 +593,12 @@ class FitnessEvaluator:
         return pairs if np.ndim(genome) == 2 else pairs[0]
 
 
-def evaluate_individual(genome, layout, train_slides, eval_slides, k, classes=None):
+def evaluate_individual(genome, layout, eval_slides, k, classes=None):
     """One-shot evaluation of a genome: (FitnessPair, ConfusionMatrix).
 
     Each evaluation slide is represented by the mean of all its patches and
-    classified by k-NN against the genome's selected-patch library.
+    classified by k-NN against the genome's selected-patch library over
+    ``layout.slides``.
     """
-    evaluator = FitnessEvaluator(layout, train_slides, eval_slides, k, classes)
+    evaluator = FitnessEvaluator(layout, eval_slides, k, classes)
     return evaluator.evaluate_full(genome)

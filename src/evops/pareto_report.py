@@ -97,18 +97,18 @@ def _score_genomes(genomes, dataset: SplitDataset, k) -> list[FrontSolution]:
     """Score each genome on the validation and test splits.
 
     One unconstrained evaluator per split scores the stacked genomes in one
-    ``evaluate_full`` call; its F1 is 1 - f2_error. Both read the dataset's
-    one training matrix, ``dataset.layout.matrix``.
+    ``evaluate_full`` call; its F1 is 1 - f2_error. Both take the dataset's
+    one layout, ``dataset.layout``, which owns the training slides and
+    their matrix; the per-slide counts are keyed by its slides' ids.
     """
     dataset.require_runnable()
     layout = dataset.layout
     stacked = np.stack(genomes)
     val_scores, test_scores = [
-        FitnessEvaluator(layout, dataset.train, split, k,
-                         classes=dataset.classes).evaluate_full(stacked)
+        FitnessEvaluator(layout, split, k, classes=dataset.classes).evaluate_full(stacked)
         for split in (dataset.validation, dataset.test)
     ]
-    slide_ids = [rec.slide_id for rec in dataset.train]
+    slide_ids = [rec.slide_id for rec in layout.slides]
     counts = segment_popcounts(stacked, layout)
     return [
         FrontSolution(

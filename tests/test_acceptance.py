@@ -174,8 +174,8 @@ def test_criterion_3_fitness_oracle():
         for _, offset, length in layout.segments:
             if not genome[offset : offset + length].any():
                 genome[offset + rng.integers(0, length)] = True
-        pair, _ = evaluate_individual(genome, layout, dataset.train,
-                                      dataset.validation, 5, classes=dataset.classes)
+        pair, _ = evaluate_individual(genome, layout, dataset.validation, 5,
+                                      classes=dataset.classes)
         frac, err = straight_line_fitness(genome, layout, dataset.train,
                                           dataset.validation, 5, dataset.classes)
         worst = max(worst, abs(pair.f1_fraction - frac), abs(pair.f2_error - err))

@@ -66,14 +66,14 @@ def cohorts(draw):
 def test_batch_equals_rows_and_oracle(cohort):
     train, evals, layout, genomes, k = cohort
 
-    batch = aggregate_selected(genomes, layout, train)
+    batch = aggregate_selected(genomes, layout)
     assert batch.vectors.shape == (len(genomes), len(train), evals[0].embeddings.shape[1])
     assert len(batch) == len(train)
     for row, vectors in zip(genomes, batch.vectors):
-        assert vectors.tobytes() == aggregate_selected(row, layout, train).vectors.tobytes()
+        assert vectors.tobytes() == aggregate_selected(row, layout).vectors.tobytes()
 
-    batched = FitnessEvaluator(layout, train, evals, k, constrained=True).evaluate(genomes)
-    single = FitnessEvaluator(layout, train, evals, k, constrained=True)
+    batched = FitnessEvaluator(layout, evals, k, constrained=True).evaluate(genomes)
+    single = FitnessEvaluator(layout, evals, k, constrained=True)
     assert batched == [single.evaluate(row) for row in genomes]
 
     classes = sorted({rec.label for rec in train + evals})
@@ -122,10 +122,10 @@ def test_block_and_knn_path_match_single_genome_scoring(cohort, block_cells, exa
     reference_auc = straight_line_retrieval_auc(ones, layout, train, evals)
     with mock.patch.multiple(fitness, _EXACT_CELLS=exact_cells, _LIBRARY_CELLS=block_cells,
                              _SCORING_CELLS=block_cells):
-        plain = FitnessEvaluator(layout, train, evals, k)
+        plain = FitnessEvaluator(layout, evals, k)
         singles = [plain.evaluate_full(row) for row in genomes]
         for constrained in (False, True):
-            evaluator = FitnessEvaluator(layout, train, evals, k, constrained=constrained)
+            evaluator = FitnessEvaluator(layout, evals, k, constrained=constrained)
             batch = evaluator.evaluate_full(genomes)
             for row, (pair, cm), (single, single_cm) in zip(genomes, batch, singles):
                 assert _bits(pair.f1_fraction, pair.f2_error) == _bits(
@@ -169,12 +169,11 @@ def _wide_range_cohort(dim):
 @pytest.mark.parametrize("dim", [64, 384])
 def test_wide_range_libraries_have_single_genome_bits(dim, library_cells):
     train, evals, layout, genomes = _wide_range_cohort(dim)
-    singles = [aggregate_selected(row, layout, train).vectors.tobytes() for row in genomes]
+    singles = [aggregate_selected(row, layout).vectors.tobytes() for row in genomes]
     for size in (5, len(genomes)):
         rows = [vectors.tobytes()
                 for start in range(0, len(genomes), size)
-                for vectors in aggregate_selected(genomes[start : start + size], layout,
-                                                  train).vectors]
+                for vectors in aggregate_selected(genomes[start : start + size], layout).vectors]
         assert rows == singles
 
     libraries = []
@@ -186,7 +185,7 @@ def test_wide_range_libraries_have_single_genome_bits(dim, library_cells):
 
     with mock.patch.multiple(fitness, _LIBRARY_CELLS=library_cells,
                              aggregate_selected=recording):
-        FitnessEvaluator(layout, train, evals, 3).evaluate_full(genomes)
+        FitnessEvaluator(layout, evals, 3).evaluate_full(genomes)
     assert libraries == singles
 
 
@@ -249,14 +248,14 @@ def test_a_generation_of_a_wide_dim_cohort_aggregates_in_one_pass():
         return aggregate_selected(*args)
 
     with mock.patch.object(fitness, "aggregate_selected", counting):
-        FitnessEvaluator(layout, train, evals, 5).evaluate_full(genomes)
+        FitnessEvaluator(layout, evals, 5).evaluate_full(genomes)
     assert calls == [100]
 
 
 def test_the_all_patches_genome_is_feasible_inside_a_batch():
     train, evals, layout, genomes = _wide_range_cohort(64)
     ones = np.ones(layout.total_patches, dtype=bool)
-    evaluator = FitnessEvaluator(layout, train, evals, 1, constrained=True)
+    evaluator = FitnessEvaluator(layout, evals, 1, constrained=True)
     batch = np.concatenate([genomes[:12], ones[None], genomes[12:]])
     assert evaluator.evaluate_full(batch)[12][0].violation == 0.0
 
@@ -266,5 +265,5 @@ def test_columns_with_non_finite_values_are_not_split():
     train = [SlideRecord("train0", "a", "train", values)]
     layout = build_layout(train)
     assert layout.column_slices[0][0].tolist() == [0]  # 1 + 2**-60 rounds
-    mean = aggregate_selected(np.ones(2, dtype=bool), layout, train).vectors[0]
+    mean = aggregate_selected(np.ones(2, dtype=bool), layout).vectors[0]
     assert mean[0] == 0.5 and mean[1] == np.inf and np.isnan(mean[2])

@@ -176,6 +176,17 @@ def test_build_layout_single_patch_slide():
     assert layout.segments == ((0, 0, 1),)
 
 
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_build_layout_rejects_a_zero_patch_slide(position):
+    # An empty segment would have no bit to cover it: popcounts would read
+    # the next segment's first bit, or past the genome's end.
+    slides = [make_slide(f"s{i}", "a", "train", 3, 2, seed=i) for i in range(2)]
+    slides.insert(position, make_slide("empty", "a", "train", 0, 2))
+    with pytest.raises(ValidationError,
+                       match=r"^slide 'empty': slide has zero patches$"):
+        build_layout(slides)
+
+
 def test_build_layout_against_prefix_sum_oracle():
     rng = np.random.default_rng(42)
     sizes = rng.integers(1, 50, size=100)

@@ -52,17 +52,16 @@ def test_aggregate_hand_case():
     slide = SlideRecord("s", "a", "train",
                         np.array([[0, 0], [2, 2], [4, 4]], dtype=np.float32))
     layout = build_layout([slide])
-    lib = aggregate_selected(np.array([1, 0, 1], dtype=bool), layout, [slide])
+    lib = aggregate_selected(np.array([1, 0, 1], dtype=bool), layout)
     assert lib.vectors.tolist() == [[2.0, 2.0]]
     assert lib.labels == ("a",)
-    assert lib.slide_ids == ("s",)
 
 
 def test_aggregate_all_ones_equals_full_means():
     rng = np.random.default_rng(0)
     slides = make_slides(rng, 5, 4, ["a", "b"])
     layout = build_layout(slides)
-    lib = aggregate_selected(np.ones(layout.total_patches, dtype=bool), layout, slides)
+    lib = aggregate_selected(np.ones(layout.total_patches, dtype=bool), layout)
     for row, slide in zip(lib.vectors, slides):
         assert np.allclose(row, slide_mean_all(slide), atol=1e-12)
 
@@ -72,7 +71,7 @@ def test_aggregate_matches_masked_mean_oracle():
     slides = make_slides(rng, 20, 6, ["a", "b", "c"])
     layout = build_layout(slides)
     genome = random_covered_genome(rng, layout)
-    lib = aggregate_selected(genome, layout, slides)
+    lib = aggregate_selected(genome, layout)
     for (_, offset, length), slide, row in zip(layout.segments, slides, lib.vectors):
         mask = genome[offset : offset + length].tolist()
         oracle = masked_mean(slide.embeddings.tolist(), mask)
@@ -87,35 +86,13 @@ def test_aggregate_raises_on_empty_segment():
     _, offset, length = layout.segments[1]
     genome[offset : offset + length] = False
     with pytest.raises(CoverageViolation, match="train1"):
-        aggregate_selected(genome, layout, slides)
-
-
-def test_aggregate_rejects_slides_that_are_not_the_layouts():
-    rng = np.random.default_rng(3)
-    slides = make_slides(rng, 4, 4, ["a", "b"])
-    layout = build_layout(slides)
-    genome = np.ones(layout.total_patches, dtype=bool)
-    copies = [SlideRecord(r.slide_id, r.label, r.split, r.embeddings) for r in slides]
-    for other in (slides[::-1], slides[:3], copies):
-        with pytest.raises(ValueError, match="layout's slides"):
-            aggregate_selected(genome, layout, other)
-
-
-def test_evaluate_individual_rejects_train_slides_out_of_layout_order():
-    # labels and ids from reversed slides would silently mislabel the
-    # layout's rows
-    ds = generate(SynthConfig(seed=7))
-    layout = build_layout(ds.train)
-    genome = np.ones(layout.total_patches, dtype=bool)
-    with pytest.raises(ValueError, match="layout's slides"):
-        evaluate_individual(genome, layout, ds.train[::-1], ds.validation, 5, ds.classes)
+        aggregate_selected(genome, layout)
 
 
 def library(vectors, labels):
     return ReferenceLibrary(
         vectors=np.asarray(vectors, dtype=np.float64),
         labels=tuple(labels),
-        slide_ids=tuple(f"s{i}" for i in range(len(labels))),
     )
 
 
@@ -215,7 +192,7 @@ def test_evaluate_all_ones_fraction():
     evals = make_slides(rng, 4, 4, ["a", "b"], split="validation")
     layout = build_layout(train)
     pair, cm = evaluate_individual(
-        np.ones(layout.total_patches, dtype=bool), layout, train, evals, 3
+        np.ones(layout.total_patches, dtype=bool), layout, evals, 3
     )
     assert pair.f1_fraction == 1.0
     assert cm.total == len(evals)
@@ -228,7 +205,7 @@ def test_evaluate_one_bit_per_segment_fraction():
     layout = build_layout(train)
     genome = np.zeros(layout.total_patches, dtype=bool)
     genome[layout.offsets] = True
-    pair, _ = evaluate_individual(genome, layout, train, evals, 3)
+    pair, _ = evaluate_individual(genome, layout, evals, 3)
     assert pair.f1_fraction == len(train) / layout.total_patches
 
 
@@ -241,7 +218,7 @@ def test_evaluate_matches_straight_line_oracle():
     rng = np.random.default_rng(10)
     for _ in range(10):
         genome = random_covered_genome(rng, layout, density=float(rng.uniform(0.2, 0.9)))
-        pair, _ = evaluate_individual(genome, layout, ds.train, ds.validation, 5,
+        pair, _ = evaluate_individual(genome, layout, ds.validation, 5,
                                       classes=ds.classes)
         frac, err = straight_line_fitness(genome, layout, ds.train, ds.validation,
                                           5, ds.classes)
@@ -270,8 +247,8 @@ def test_duplication_invariance():
     doubled_layout = build_layout(doubled)
     doubled_genome = np.repeat(genome, 2)
 
-    pair, _ = evaluate_individual(genome, layout, train, evals, 3)
-    pair2, _ = evaluate_individual(doubled_genome, doubled_layout, doubled, doubled_evals, 3)
+    pair, _ = evaluate_individual(genome, layout, evals, 3)
+    pair2, _ = evaluate_individual(doubled_genome, doubled_layout, doubled_evals, 3)
     assert abs(pair.f2_error - pair2.f2_error) < 1e-12
 
 
@@ -287,9 +264,39 @@ def test_segment_permutation_invariance():
                     rec.embeddings[rng.permutation(rec.rows)])
         for rec in train
     ]
-    pair, _ = evaluate_individual(ones, layout, train, evals, 3)
-    pair2, _ = evaluate_individual(ones, build_layout(permuted), permuted, evals, 3)
+    pair, _ = evaluate_individual(ones, layout, evals, 3)
+    pair2, _ = evaluate_individual(ones, build_layout(permuted), evals, 3)
     assert abs(pair.f2_error - pair2.f2_error) < 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_scores_follow_the_layouts_slide_order(k):
+    # Labels, class codes and retrieval queries all come from the layout: a
+    # layout of the reversed training slides, with each genome's segments
+    # moved to match, scores every genome alike. Only the AUC's sum over
+    # queries runs in another order.
+    ds = generate(SynthConfig(classes=3, train_slides_per_class=5,
+                              validation_slides_per_class=3, test_slides_per_class=1,
+                              patches_min=3, patches_max=9, dim=6,
+                              class_separation=1.5, seed=13))
+    layout = build_layout(ds.train)
+    rng = np.random.default_rng(13)
+    genomes = np.stack([random_covered_genome(rng, layout, float(rng.uniform(0.1, 0.9)))
+                        for _ in range(24)])
+    moved = np.concatenate(
+        [genomes[:, offset : offset + length] for _, offset, length in layout.segments[::-1]],
+        axis=1,
+    )
+    scored = FitnessEvaluator(layout, ds.validation, k, constrained=True).evaluate(genomes)
+    reversed_layout = build_layout(ds.train[::-1])
+    rescored = FitnessEvaluator(reversed_layout, ds.validation, k,
+                                constrained=True).evaluate(moved)
+    for pair, other in zip(scored, rescored):
+        assert pair.f1_fraction.hex() == other.f1_fraction.hex()
+        assert pair.f2_error.hex() == other.f2_error.hex()
+        assert abs(pair.violation - other.violation) <= 1e-12
+    assert len({pair.f2_error for pair in scored}) > 1
+    assert any(pair.violation > 0 for pair in scored)
 
 
 def test_knn_batch_matches_single_queries():
@@ -320,7 +327,7 @@ def test_retrieval_auc_hand_case():
     # distances from 2: a0 4, a1 1, b0 1, b1 4; ties count as lost
     evals = [slide("q", "a", "validation", 2)]
     layout = build_layout(train)
-    evaluator = FitnessEvaluator(layout, train, evals, 1, constrained=True)
+    evaluator = FitnessEvaluator(layout, evals, 1, constrained=True)
     ones = np.ones(layout.total_patches, dtype=bool)
     # training queries: a0 [a1 1 | b0 9, b1 16] -> 1, a1 [a0 1 | 4, 9] -> 1,
     # b0 [b1 1 | a0 9, a1 4] -> 1, b1 [b0 1 | 16, 9] -> 1
@@ -334,7 +341,7 @@ def test_retrieval_auc_matches_straight_line_oracle():
                               patches_min=3, patches_max=9, dim=6,
                               class_separation=2.0, seed=15))
     layout = build_layout(ds.train)
-    evaluator = FitnessEvaluator(layout, ds.train, ds.validation, 5,
+    evaluator = FitnessEvaluator(layout, ds.validation, 5,
                                  classes=ds.classes, constrained=True)
     ones = np.ones(layout.total_patches, dtype=bool)
     reference = straight_line_retrieval_auc(ones, layout, ds.train, ds.validation)
@@ -352,7 +359,7 @@ def test_unconstrained_evaluator_reports_no_violation():
     train = make_slides(rng, 6, 4, ["a", "b"])
     evals = make_slides(rng, 4, 4, ["a", "b"], split="validation")
     layout = build_layout(train)
-    evaluator = FitnessEvaluator(layout, train, evals, 3)
+    evaluator = FitnessEvaluator(layout, evals, 3)
     assert evaluator.reference_auc is None
     assert evaluator.evaluate(random_covered_genome(rng, layout)).violation == 0.0
 
@@ -363,7 +370,7 @@ def test_evaluate_batch_computes_each_distinct_genome_once():
     evals = make_slides(rng, 4, 4, ["a", "b"], split="validation")
     layout = build_layout(train)
     first, second = (random_covered_genome(rng, layout) for _ in range(2))
-    evaluator = FitnessEvaluator(layout, train, evals, 3, constrained=True)
+    evaluator = FitnessEvaluator(layout, evals, 3, constrained=True)
     computed = []  # rows passed to each evaluate_full call
     evaluate_full = evaluator.evaluate_full
 
@@ -381,7 +388,7 @@ def test_evaluate_batch_computes_each_distinct_genome_once():
     assert evaluator.evaluate(np.stack([second, first])) == [pairs[1], pairs[0]]
     assert evaluator.evaluate(first) == pairs[0]
     assert computed == [2]  # cached genomes are not recomputed
-    fresh = FitnessEvaluator(layout, train, evals, 3, constrained=True)
+    fresh = FitnessEvaluator(layout, evals, 3, constrained=True)
     assert pairs == [fresh.evaluate(g) for g in (first, second, first, first)]
 
 
@@ -391,7 +398,7 @@ def test_evaluate_full_batch_matches_single_genomes():
     evals = make_slides(rng, 6, 4, ["a", "b", "c"], split="validation")
     layout = build_layout(train)
     genomes = np.stack([random_covered_genome(rng, layout) for _ in range(3)])
-    evaluator = FitnessEvaluator(layout, train, evals, 3)
+    evaluator = FitnessEvaluator(layout, evals, 3)
     batched = evaluator.evaluate_full(genomes)
     assert isinstance(batched, list) and len(batched) == 3
     for genome, (pair, cm) in zip(genomes, batched):
@@ -409,10 +416,10 @@ def test_aggregate_batch_names_first_empty_segment_of_first_bad_row():
         _, offset, length = layout.segments[seg]
         genomes[row, offset : offset + length] = False
     with pytest.raises(CoverageViolation, match=r"segment 2 of genome 1 \(slide 'train2'\)"):
-        aggregate_selected(genomes, layout, slides)
+        aggregate_selected(genomes, layout)
     evals = make_slides(rng, 2, 4, ["a", "b"], split="validation")
     with pytest.raises(CoverageViolation, match="train2"):
-        FitnessEvaluator(layout, slides, evals, 1).evaluate(genomes)
+        FitnessEvaluator(layout, evals, 1).evaluate(genomes)
 
 
 @pytest.mark.parametrize("shape", ["3d", "short", "long"])
@@ -427,9 +434,9 @@ def test_batch_rejects_bad_genome_shapes(shape):
         "short": np.ones((2, total - 1), dtype=bool),
         "long": np.ones(total + 1, dtype=bool),
     }[shape]
-    evaluator = FitnessEvaluator(layout, slides, evals, 1)
+    evaluator = FitnessEvaluator(layout, evals, 1)
     with pytest.raises(ValueError, match="genome shape"):
-        aggregate_selected(genome, layout, slides)
+        aggregate_selected(genome, layout)
     with pytest.raises(ValueError, match="genome shape"):
         evaluator.evaluate(genome)
     with pytest.raises(ValueError, match="genome shape"):
@@ -484,7 +491,7 @@ def test_block_path_raises_label_error_for_a_training_label_outside_classes():
     evals = make_slides(rng, 3, 4, ["a"], split="validation")
     layout = build_layout(train)
     genomes = np.stack([random_covered_genome(rng, layout) for _ in range(3)])
-    evaluator = FitnessEvaluator(layout, train, evals, 1, classes=["a"])
+    evaluator = FitnessEvaluator(layout, evals, 1, classes=["a"])
     with pytest.raises(LabelError, match="predicted label 'x' not in class list"):
         evaluator.evaluate_full(genomes)
     with pytest.raises(LabelError, match="predicted label 'x' not in class list"):
@@ -495,7 +502,7 @@ def label_path_scores(evaluator, genomes, classes):
     """Confusion counts and errors from knn_predict's labels and confusion_matrix."""
     queries = np.stack([slide_mean_all(rec) for rec in evaluator.eval_slides])
     true = [rec.label for rec in evaluator.eval_slides]
-    library = aggregate_selected(genomes, evaluator.layout, evaluator.train_slides)
+    library = aggregate_selected(genomes, evaluator.layout)
     cms = confusion_matrix(true, knn_predict(queries, library, evaluator.k), classes)
     return cms.counts, 1.0 - weighted_f1_from_confusion(cms)
 
@@ -510,7 +517,7 @@ def test_class_index_scoring_matches_the_label_path(constrained):
     genomes = np.stack([random_covered_genome(rng, layout, density)
                         for density in (0.1, 0.3, 0.6, 0.9, 1.0)])
     for k in (1, 3, 4):  # k=4 splits votes 2-2 or 2-1-1
-        evaluator = FitnessEvaluator(layout, train, evals, k, classes=classes,
+        evaluator = FitnessEvaluator(layout, evals, k, classes=classes,
                                      constrained=constrained)
         counts, errors = label_path_scores(evaluator, genomes, classes)
         scored = evaluator.evaluate_full(genomes)
@@ -540,7 +547,7 @@ def test_class_index_scoring_raises_the_label_path_error(train_labels, eval_labe
     evals = make_slides(rng, 4, 4, eval_labels, split="validation")
     layout = build_layout(train)
     genomes = np.stack([random_covered_genome(rng, layout) for _ in range(3)])
-    evaluator = FitnessEvaluator(layout, train, evals, 6, classes=classes, constrained=True)
+    evaluator = FitnessEvaluator(layout, evals, 6, classes=classes, constrained=True)
     # Labels outside the class list still rank retrieval by equality.
     ones = np.ones(layout.total_patches, dtype=bool)
     assert abs(evaluator.reference_auc
@@ -561,4 +568,4 @@ def test_degenerate_scoring_inputs_are_rejected():
         confusion_matrix([], [], ("a", "b"))
     slides = make_slides(np.random.default_rng(0), 4, 3, ["a", "b"])
     with pytest.raises(ValueError, match="eval_slides is empty"):
-        FitnessEvaluator(build_layout(slides), slides, [], 1)
+        FitnessEvaluator(build_layout(slides), [], 1)

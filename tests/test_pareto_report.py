@@ -339,7 +339,7 @@ def test_report_scores_equal_evaluate_individual():
     for genome, sol in scored:
         for split, f1, cm in ((ds.validation, sol.validation_f1, sol.validation_confusion),
                               (ds.test, sol.test_f1, sol.test_confusion)):
-            pair, expected = evaluate_individual(genome, layout, ds.train, split, 3,
+            pair, expected = evaluate_individual(genome, layout, split, 3,
                                                  classes=ds.classes)
             assert f1 == 1.0 - pair.f2_error
             assert cm.classes == expected.classes
@@ -381,7 +381,7 @@ def test_scoring_builds_one_evaluator_per_split(monkeypatch):
     evaluator = pareto_report.FitnessEvaluator
 
     def recording(*args, **kwargs):
-        built.append(args[2])
+        built.append(args[1])
         return evaluator(*args, **kwargs)
 
     monkeypatch.setattr(pareto_report, "FitnessEvaluator", recording)

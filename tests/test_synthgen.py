@@ -87,7 +87,7 @@ def test_oracle_genome_beats_or_matches_baseline():
     layout = build_layout(ds.train)
     baseline = compute_baseline(ds, 5)
     genome = oracle_genome(ds, cfg.informative_fraction)
-    pair, _ = evaluate_individual(genome, layout, ds.train, ds.test, 5,
+    pair, _ = evaluate_individual(genome, layout, ds.test, 5,
                                   classes=ds.classes)
     assert 1.0 - pair.f2_error >= baseline.test_f1
 
