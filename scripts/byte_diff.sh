@@ -12,7 +12,11 @@
 # The commands: the quick-start cohort (gen-synth --seed 7) and a 4-class
 # dim-24 cohort whose k-NN takes the shortlist path; on each,
 # run --seeds 1..2 --generations 15 under the guided and the paper search,
-# and baseline --out. Both sides should run on one machine with one BLAS.
+# and baseline --out. Then a 300-slide cohort shaped like the benchmark's
+# many-slides workload, with run --seeds 1..2 --generations 5: its
+# retrieval AUC meets same-class and other-class distances that tie in
+# float32, so the AUC's exact 64-bit recount runs there. Both sides should
+# run on one machine with one BLAS.
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
@@ -54,6 +58,10 @@ run_tree() {
     done
     step "baseline-$cohort" baseline --dataset "$cohort" --out "baseline/$cohort"
   done
+  step gen-many gen-synth --out many --classes 4 --train-per-class 75 \
+    --val-per-class 20 --test-per-class 20 --min-patches 2 --max-patches 8 \
+    --dim 16 --separation 3.0 --seed 3
+  step run-many-guided run --dataset many --out runs/many-guided --seeds 1..2 --generations 5
 }
 
 (run_tree "$1" base)

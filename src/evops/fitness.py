@@ -269,7 +269,7 @@ def knn_predict(query, library: ReferenceLibrary, k: int):
     return labels if library.vectors.ndim == 3 else labels.tolist()
 
 
-def _lost_pairs(dists, same_bit, same_before) -> np.ndarray:
+def _lost_pairs64(dists, same_bit, same_before) -> np.ndarray:
     """Per row, the (same, other) pairs whose same-class entry is not nearer.
 
     ``dists`` are non-negative, and are overwritten. ``same_bit`` is 1 for a
@@ -288,6 +288,53 @@ def _lost_pairs(dists, same_bit, same_before) -> np.ndarray:
     # A same-class entry has every nearer or tied other-class entry before
     # it; the same-class entries before it add up to n(n-1)/2 over the row.
     return keys @ np.arange(keys.shape[-1], dtype=np.uint64) - same_before
+
+
+def _lost_pairs(dists, same_bit, same_before, work) -> np.ndarray:
+    """``_lost_pairs64``'s counts of ``dists`` clamped at zero, ranked on
+    32-bit keys where that is exact.
+
+    ``dists`` are left as they are; rounding can dip them just below zero.
+    ``work`` is a flat uint32 array of at least ``2 * dists.size`` values
+    to rank in, which a caller keeps across calls so that they allocate
+    nothing of that size.
+
+    Rounding to float32 is monotone, so distinct float32 distances keep
+    their float64 order, and equal float32 distances of one class count as
+    any order of them does. Only a same-class and an other-class entry
+    that tie in float32 may be counted otherwise; every row holding such a
+    tie is counted again by ``_lost_pairs64`` from ``dists``.
+    """
+    n = dists.shape[-1]
+    if n * (n - 1) // 2 >= 1 << 32:  # a row's position sum would wrap in uint32
+        return _lost_pairs64(np.maximum(dists, 0.0), same_bit, same_before)
+    keys = work[: dists.size].reshape(dists.shape)
+    rounded = keys.view(np.float32)
+    with np.errstate(over="ignore"):  # beyond float32's range is +inf, still in order
+        np.copyto(rounded, dists, casting="same_kind")
+    if keys.view(np.int32).min(initial=0) < 0:  # a negative or -0.0: rare
+        np.maximum(rounded, np.float32(0.0), out=rounded)
+    # As in _lost_pairs64; the shift also drops the sign bit of a -0.0.
+    keys <<= np.uint32(1)
+    keys |= same_bit
+    keys.sort(axis=-1)
+    # Sorted neighbours that differ only in the low bit are a mixed tie: a
+    # zero of neighbour ^ key ^ 1. One pass over the flat keys, in place;
+    # the pairs that straddle two rows are set apart.
+    flat = keys.reshape(-1)
+    ties = work[dists.size : 2 * dists.size]
+    np.bitwise_xor(flat[1:], flat[:-1], out=ties[:-1])
+    ties ^= np.uint32(1)
+    ties[n - 1 :: n] = 1
+    keys &= np.uint32(1)
+    lost = np.einsum("...s,s->...", keys, np.arange(n, dtype=np.uint32)) - same_before
+    if ties.min(initial=1) == 0:
+        redo = np.unique(np.flatnonzero(ties == 0) // n)
+        rows = redo % dists.shape[-2]
+        lost.reshape(-1)[redo] = _lost_pairs64(
+            np.maximum(dists.reshape(-1, n)[redo], 0.0), same_bit[rows], same_before[rows]
+        )
+    return lost
 
 
 def class_codes(labels, names) -> tuple[np.ndarray, tuple]:
@@ -393,9 +440,11 @@ _LIBRARY_CELLS = 1 << 17
 # arrays hold at most about this many float64 values (2 MiB): per genome
 # its AUC distance matrix, the k-NN's (queries x S) distances and the rows
 # it scores from differences (k shortlisted rows per query, or every row,
-# times dim). Bigger blocks save per-call overhead while they fit the
-# cache; a 300-slide cohort's AUC matrix alone is 380 x 300 values, and
-# there two or more genomes per block were no faster than one.
+# times dim). The AUC matrix also sizes _lost_pairs' 4-byte keys and tie
+# marks, as many bytes again (at most 2 MiB), which the evaluator keeps
+# from block to block. Bigger blocks save per-call overhead while they fit
+# the cache; a 300-slide cohort's AUC matrix alone is 380 x 300 values,
+# and there two or more genomes per block were no faster than one.
 _SCORING_CELLS = 1 << 18
 
 
@@ -460,7 +509,7 @@ class FitnessEvaluator:
         )[keep]
         self._retrieval_queries = queries
         self._retrieval_norms = np.einsum("ij,ij->i", queries, queries)
-        self._same_bit = same[keep].astype(np.uint8)
+        self._same_bit = same[keep].astype(np.uint32)
         self._same_before = (n_same * (n_same - 1) // 2)[keep].astype(np.uint64)
         left_out = np.flatnonzero(keep[n_eval:])  # training slides kept as queries
         self._self_cells = (np.cumsum(keep)[n_eval + left_out] - 1, left_out)
@@ -469,6 +518,8 @@ class FitnessEvaluator:
         # The k-NN queries are the first rows of the retrieval queries unless
         # one was dropped.
         self._shares_queries = bool(keep[:n_eval].all())
+        # _lost_pairs' keys, kept across calls and grown to the largest block.
+        self._auc_work = np.empty(0, dtype=np.uint32)
 
     def retrieval_auc(self, genome) -> float:
         """Mean over queries of the share of library pairs ranked right.
@@ -491,17 +542,21 @@ class FitnessEvaluator:
         """``retrieval_auc`` from the retrieval queries' expanded distances.
 
         ``dists`` are one library's (Q, S) distances, giving a float, or a
-        batch's (N, Q, S), giving a list of N; they are overwritten. Each
-        genome's distances are one product of its own shape (see
-        ``expanded_sq_distances``) and are never re-scored, so its AUC has
-        the same bits in any batch. Each AUC's last step is a dot product
-        of the genome's own row of lost pairs, which a matrix-vector
-        product could sum in another order.
+        batch's (N, Q, S), giving a list of N; their self cells are set to
+        +inf in place. Each genome's distances are
+        one product of its own shape (see ``expanded_sq_distances``) and
+        are never re-scored. ``_lost_pairs`` ranks them on 32-bit keys, in
+        a work array that the evaluator keeps and grows to its largest
+        block, and counts a row again from its float64 distances wherever
+        float32 ties a same-class with an other-class entry. So each row's
+        count, and each AUC, has the same bits in any batch. Each AUC's
+        last step is a dot product of the genome's own row of lost pairs,
+        which a matrix-vector product could sum in another order.
         """
-        # Rounding can dip just below zero; _lost_pairs needs no sign bit.
-        np.maximum(dists, 0.0, out=dists)
         dists[(..., *self._self_cells)] = np.inf
-        lost = _lost_pairs(dists, self._same_bit, self._same_before)
+        if self._auc_work.size < 2 * dists.size:
+            self._auc_work = np.empty(2 * dists.size, dtype=np.uint32)
+        lost = _lost_pairs(dists, self._same_bit, self._same_before, self._auc_work)
         aucs = [
             1.0 - float(row @ self._lost_weights) if row.size else 0.0  # no query: 0
             for row in np.atleast_2d(lost)
@@ -526,50 +581,50 @@ class FitnessEvaluator:
         ConfusionMatrix), or an (N, P) matrix, giving a list of N of them.
         The libraries of a matrix are aggregated a block of rows at a time,
         at most ``_LIBRARY_CELLS`` library values or the training matrix's
-        size per block, whichever is larger. Each library
-        block is scored in blocks of genomes that fit ``_SCORING_CELLS``
-        work values, at least one: distances, k-NN, confusion counts,
-        weighted F1 and the retrieval AUC each run once on a whole block.
-        A constrained evaluator computes one expanded distance matrix per
-        genome for the AUC, and the k-NN shortlists from its evaluation
-        rows. A genome's bits do not depend on its block.
+        size per block, whichever is larger. Each library block is scored
+        in blocks of genomes that fit ``_SCORING_CELLS`` work values, at
+        least one: distances, k-NN and the retrieval AUC each run once on a
+        whole scoring block, and the confusion counts, weighted F1 and
+        fitness pairs once on a whole library block (F1 is elementwise per
+        genome). A constrained evaluator computes one expanded distance
+        matrix per genome for the AUC, and the k-NN shortlists from its
+        evaluation rows. A genome's bits do not depend on either block.
         """
         genomes = genome_matrix(genome, self.layout)
         cells = max(_LIBRARY_CELLS, self.layout.matrix.size)
         library_rows = max(1, cells // self._queries.shape[1] // self.layout.n_slides)
         scoring_rows = self._scoring_rows()
+        constrained = self.reference_auc is not None
         results = []
         for start in range(0, len(genomes), library_rows):
             block = genomes[start : start + library_rows]
-            library = aggregate_selected(block, self.layout)
+            vectors = aggregate_selected(block, self.layout).vectors
+            predicted, aucs = [], []
             for part in range(0, len(block), scoring_rows):
-                rows = slice(part, part + scoring_rows)
-                part_library = replace(
-                    library, vectors=library.vectors[rows], labels=self._train_codes
+                part_predicted, part_aucs = self._score_block(vectors[part : part + scoring_rows])
+                predicted.append(part_predicted)
+                aucs += part_aucs
+            counts = _tally(self._truth, np.concatenate(predicted), self._names, len(self.classes))
+            errors = 1.0 - weighted_f1_from_confusion(ConfusionMatrix(self.classes, counts))
+            for i, count in enumerate(block.sum(axis=1).tolist()):
+                pair = FitnessPair(
+                    f1_fraction=count / self.layout.total_patches,
+                    f2_error=float(errors[i]),
+                    violation=max(0.0, self.reference_auc - aucs[i]) if constrained else 0.0,
                 )
-                results += self._score_block(block[rows], part_library)
+                results.append((pair, ConfusionMatrix(self.classes, counts[i])))
         return results if np.ndim(genome) == 2 else results[0]
 
-    def _score_block(self, block, library) -> list:
-        constrained = self.reference_auc is not None
-        if constrained:
-            dists = self._retrieval_distances(library.vectors)
-            if self._shares_queries:
-                library = replace(library, query_distances=dists[:, : len(self._queries)])
-        predicted = knn_predict(self._queries, library, self.k)
-        counts = _tally(self._truth, predicted, self._names, len(self.classes))
-        errors = 1.0 - weighted_f1_from_confusion(ConfusionMatrix(self.classes, counts))
-        aucs = self._library_auc(dists) if constrained else None
-        results = []
-        for i, count in enumerate(block.sum(axis=1).tolist()):
-            violation = max(0.0, self.reference_auc - aucs[i]) if constrained else 0.0
-            pair = FitnessPair(
-                f1_fraction=count / self.layout.total_patches,
-                f2_error=float(errors[i]),
-                violation=violation,
-            )
-            results.append((pair, ConfusionMatrix(self.classes, counts[i])))
-        return results
+    def _score_block(self, vectors) -> tuple[np.ndarray, list]:
+        """(N, Q) k-NN class indices and N retrieval AUCs (none when
+        unconstrained) for a block of N libraries' (N, S, dim) vectors."""
+        library = ReferenceLibrary(vectors=vectors, labels=self._train_codes)
+        if self.reference_auc is None:
+            return knn_predict(self._queries, library, self.k), []
+        dists = self._retrieval_distances(vectors)
+        if self._shares_queries:
+            library = replace(library, query_distances=dists[:, : len(self._queries)])
+        return knn_predict(self._queries, library, self.k), self._library_auc(dists)
 
     def evaluate(self, genome):
         """Objectives only, with digest-keyed memoization.

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evops import fitness
 from evops.dataset import SlideRecord, build_layout, slide_mean_all
 from evops.fitness import (
     ConfusionMatrix,
@@ -8,10 +9,14 @@ from evops.fitness import (
     FitnessEvaluator,
     LabelError,
     ReferenceLibrary,
+    _lost_pairs,
+    _lost_pairs64,
     aggregate_selected,
     confusion_matrix,
     evaluate_individual,
+    expanded_sq_distances,
     knn_predict,
+    nearest_rows,
     weighted_f1,
     weighted_f1_from_confusion,
 )
@@ -316,6 +321,93 @@ def test_knn_batch_ties_on_duplicate_rows():
     labels = ["a"] * 3 + ["b"] * 300 + ["c"] * 2
     queries = np.array([[0.0, 0.0]] * 200)
     assert knn_predict(queries, library(rows, labels), 4) == ["a"] * 200
+
+
+def test_exact_path_keeps_interleaved_ties_in_row_order():
+    # 60 rows of three distinct vectors, interleaved: each query ties 20 rows
+    # per distance, more than a small (always stable) sort ever sees.
+    levels = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+    rows = levels[np.arange(60) % 3]
+    queries = np.array([[0.4, 0.0], [2.5, 0.0], [0.5, 0.0]])
+    assert queries.size * len(rows) <= fitness._EXACT_CELLS
+    exact = ((queries[:, None, :] - rows[None, :, :]) ** 2).sum(axis=-1)
+    expected = np.argsort(exact, axis=1, kind="stable")[:, :25]
+    assert nearest_rows(queries, rows, 25).tolist() == expected.tolist()
+
+
+def test_shortlist_rescores_rows_the_expansion_misorders():
+    # A common norm of 1e16 rounds the expanded distances to multiples of
+    # about 2, far coarser than the gaps of 0-9 between the exact ones.
+    rng = np.random.default_rng(40)
+    rows = np.column_stack([np.full(200, 1e8), rng.uniform(0.0, 3.0, 200)])
+    queries = np.column_stack([np.full(100, 1e8), rng.uniform(0.0, 3.0, 100)])
+    assert queries.size * len(rows) > fitness._EXACT_CELLS
+    exact = ((queries[:, None, :] - rows[None, :, :]) ** 2).sum(axis=-1)
+    expected = np.argsort(exact, axis=1, kind="stable")[:, :3]
+    approx = expanded_sq_distances(queries, rows, (queries**2).sum(axis=1))
+    assert (np.argsort(approx, axis=1, kind="stable")[:, :3] != expected).any()
+    assert nearest_rows(queries, rows, 3).tolist() == expected.tolist()
+
+
+def _lost_pairs_cases(rng, n_libraries, n_rows, n_cols):
+    """(N, Q, S) distances and the (Q, S) class bits they share. Each row
+    draws from values distinct in float64 but equal in float32, exact ties,
+    values past float32's range, tiny negatives and -0.0, and holds one
+    +inf self cell and both classes."""
+    d = 1.0 + 2.0**-30
+    levels = np.array([
+        d, np.nextafter(d, 2.0), np.nextafter(d, 0.0), 2.5, 2.5, 0.75,
+        -0.0, 0.0, -1e-300, -3e-12, 3.5e38, np.nextafter(3.5e38, np.inf), 1e300,
+    ])
+    dists = rng.choice(levels, size=(n_libraries, n_rows, n_cols))
+    same = (rng.random((n_rows, n_cols)) < 0.5).astype(np.uint32)
+    same[:, 0], same[:, 1] = 1, 0
+    self_cell = rng.integers(2, n_cols, n_rows)
+    dists[:, np.arange(n_rows), self_cell] = np.inf
+    same[np.arange(n_rows), self_cell] = 0
+    n_same = same.sum(axis=1).astype(np.uint64)
+    return dists, same, n_same * (n_same - 1) // 2
+
+
+def _per_pair_lost(dists, same):
+    """Per row, the (same, other) pairs whose same-class entry is not
+    strictly nearer, counted pair by pair."""
+    return [int((row[bits == 0][None, :] <= row[bits == 1][:, None]).sum())
+            for row, bits in zip(dists, same)]
+
+
+def test_lost_pairs_on_32_bit_keys_match_the_64_bit_kernel():
+    rng = np.random.default_rng(41)
+    dists, same, before = _lost_pairs_cases(rng, 3, 400, 9)
+    clamped = np.maximum(dists, 0.0)  # _lost_pairs64 takes no negatives
+    expected = [_per_pair_lost(matrix, same) for matrix in clamped]
+    # Float32 distances alone would count some rows differently.
+    with np.errstate(over="ignore"):
+        assert [_per_pair_lost(m.astype(np.float32), same) for m in clamped] != expected
+    kept = dists.tobytes()
+    for matrix, positive, want in zip(dists, clamped, expected):  # one library: (Q, S)
+        assert _lost_pairs64(positive.copy(), same, before).tolist() == want
+        work = np.empty(2 * matrix.size, np.uint32)
+        assert _lost_pairs(matrix, same, before, work).tolist() == want
+    work = np.empty(2 * dists.size, np.uint32)
+    batch = _lost_pairs(dists, same, before, work)
+    assert batch.dtype == np.uint64 and batch.tolist() == expected
+    assert batch.tobytes() == _lost_pairs64(clamped.copy(), same, before).tobytes()
+    assert dists.tobytes() == kept
+    # A block of one library reuses the larger work array.
+    assert _lost_pairs(dists[1:2], same, before, work).tolist() == expected[1:2]
+
+
+def test_lost_pairs_position_sums_never_wrap():
+    # n(n-1)/2 >= 2**32: every same-class entry sorts after one nearer
+    # other-class entry, and the positions add up past uint32.
+    n = 92683
+    dists = np.linspace(1.0, 2.0, n)[None, :]
+    same = np.ones((1, n), dtype=np.uint32)
+    same[0, 0] = 0
+    before = np.array([(n - 1) * (n - 2) // 2], dtype=np.uint64)
+    work = np.empty(2 * dists.size, np.uint32)
+    assert _lost_pairs(dists, same, before, work).tolist() == [n - 1]
 
 
 def test_retrieval_auc_hand_case():
