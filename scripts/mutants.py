@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Mutant catalogue: each mutant of evops below must fail the tier-1 tests.
+
+Usage: python3 scripts/mutants.py
+
+Each entry of MUTANTS is (file, exact old text, new text, rule it breaks).
+The old text must occur exactly once in its file. The tree, without
+``.git``, ``perfbench/_work`` and caches, is copied once for a clean run
+and once per mutant; a mutant's copy has its old text replaced, and
+``python -m pytest -x -q -p no:cacheprovider`` runs in it with
+``PYTHONPATH=<copy>/src``. A mutant the tests pass is a survivor.
+
+Exit codes: 0 when every mutant is killed; 1 naming each survivor; 2 when
+an entry's old text is missing or occurs more than once (so a refactor
+cannot skip an entry silently), or when the unmutated copy fails.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FITNESS = "src/evops/fitness.py"
+EVOLUTION = "src/evops/evolution.py"
+
+MUTANTS = [
+    (FITNESS, "    vectors /= counts[..., None]\n", "    vectors /= counts[..., None] + 1\n",
+     "a library row is the mean of its slide's selected patches"),
+    (FITNESS, 'nearest = np.argsort(exact, axis=1, kind="stable")[:, :k]',
+     "nearest = np.argsort(exact, axis=1)[:, :k]",
+     "a distance tie goes to the lower row index (exact k-NN path)"),
+    (FITNESS, "_RESCORE_MARGIN = 1e-9", "_RESCORE_MARGIN = 0.0",
+     "the k-NN shortlist re-scores every row its expansion may misorder"),
+    (FITNESS, "nearest_tied = neighbors[rows[:, 0], np.argmax(tied[rows, neighbors], axis=1)]",
+     "nearest_tied = np.argmax(tied, axis=1)",
+     "a vote tie goes to the nearest tied label"),
+    (FITNESS, "    if ties.min(initial=1) == 0:\n", "    if False:\n",
+     "a row with a float32 tie across classes is counted again in float64"),
+    (FITNESS, "dists[(..., *self._self_cells)] = np.inf", "pass",
+     "a training slide is left out of its own retrieval ranking"),
+    (FITNESS, "max(0.0, self.reference_auc - aucs[i])", "max(0.0, aucs[i] - self.reference_auc)",
+     "the violation is how far a genome's AUC falls below the all-patches AUC"),
+    (FITNESS, "f1_fraction=count / self.layout.total_patches,",
+     "f1_fraction=count / (self.layout.total_patches + 1),",
+     "the first objective is the fraction of training patches kept"),
+    (EVOLUTION, "dom = (viol[:, None] < viol[None, :])", "dom = (viol[:, None] > viol[None, :])",
+     "a smaller violation dominates (constrained domination)"),
+    (EVOLUTION, "        dist[order[0]] = math.inf\n", "        dist[order[0]] = 0.0\n",
+     "crowding boundaries are at +inf"),
+    (EVOLUTION, "rng = np.random.default_rng(config.seed)",
+     'rng = np.random.default_rng(__import__("time").time_ns())',
+     "a run is a function of (dataset, seed)"),
+    (EVOLUTION, "key=lambda i: (-combined[i].crowding, i))",
+     "key=lambda i: (-combined[i].crowding, -i))",
+     "the survivor cut breaks crowding ties by lower index"),
+    (EVOLUTION, "slide @ (means[rec.label] - centre)", "slide @ (centre - means[rec.label])",
+     "relevance leans towards a patch's own class"),
+    (EVOLUTION, "winner = a if a.crowding > b.crowding else b",
+     "winner = a if a.crowding < b.crowding else b",
+     "a tournament at equal rank prefers the larger crowding distance"),
+]
+
+IGNORE = shutil.ignore_patterns(".git", "_work", "__pycache__", ".pytest_cache", ".hypothesis",
+                                "*.egg-info")
+
+
+def check_entries() -> list[str]:
+    """One message per entry whose old text does not occur exactly once."""
+    problems = []
+    for path, old, _, rule in MUTANTS:
+        found = (ROOT / path).read_text(encoding="utf-8").count(old)
+        if found != 1:
+            problems.append(f"{path}: {old.strip()!r} occurs {found} times ({rule})")
+    return problems
+
+
+def run_tests(tree: Path) -> bool:
+    """True when the tier-1 tests pass in ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+        cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    return result.returncode == 0
+
+
+def passes_with(work: Path, mutant=None) -> bool:
+    """Copy the tree into ``work``, apply ``mutant`` if given, and run the tests."""
+    tree = work / "tree"
+    shutil.copytree(ROOT, tree, ignore=IGNORE)
+    if mutant is not None:
+        path, old, new, _ = mutant
+        target = tree / path
+        target.write_text(target.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+    try:
+        return run_tests(tree)
+    finally:
+        shutil.rmtree(tree)
+
+
+def main() -> int:
+    problems = check_entries()
+    for problem in problems:
+        print(f"entry not applicable: {problem}", file=sys.stderr)
+    if problems:
+        return 2
+    with tempfile.TemporaryDirectory(prefix="evops-mutants-") as tmp:
+        work = Path(tmp)
+        if not passes_with(work):
+            print("the unmutated tree fails its tests", file=sys.stderr)
+            return 2
+        survivors = []
+        for mutant in MUTANTS:
+            start = time.monotonic()
+            survived = passes_with(work, mutant)
+            verdict = "SURVIVED" if survived else "killed"
+            print(f"{verdict:8} {time.monotonic() - start:5.1f} s  {mutant[0]}: {mutant[3]}",
+                  flush=True)
+            if survived:
+                survivors.append(mutant)
+    for path, _, _, rule in survivors:
+        print(f"surviving mutant: {path}: {rule}", file=sys.stderr)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -353,7 +353,15 @@ def load_dataset(manifest_path) -> SplitDataset:
 
 
 def write_dataset(dataset: SplitDataset, out_dir) -> Path:
-    """Write manifest plus one embedding file per slide; returns manifest path."""
+    """Write manifest plus one embedding file per slide; returns manifest path.
+
+    Each file is ``<slide_id>.emb`` in ``out_dir``: an id that is empty,
+    ``.`` or ``..``, or holds a path separator or NUL, raises
+    ValidationError naming the slide before anything is written.
+    """
+    for rec in dataset.slides:
+        if rec.slide_id in ("", ".", "..") or any(c in rec.slide_id for c in "/\\\0"):
+            raise ValidationError(f"slide '{rec.slide_id}': slide_id is not a file name")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []

@@ -99,23 +99,24 @@ def coverage_valid(genome: np.ndarray, layout: GenomeLayout) -> bool:
     return bool((segment_popcounts(genome, layout) > 0).all())
 
 
-def class_relevance(train_slides) -> np.ndarray:
+def class_relevance(layout) -> np.ndarray:
     """Per training patch, how far it leans towards its own slide's class.
 
     The projection of the patch onto m_y - m, where m_y is the mean of all
     training patches of its slide's class and m the mean of those class
-    means. One value per genome position, in layout order.
+    means. Each slide's rows are read from ``layout.matrix`` and its label
+    from ``layout.slides``. One value per genome position, in layout order.
     """
+    rows = [layout.matrix[offset : offset + length] for _, offset, length in layout.segments]
     sums: dict[str, np.ndarray] = {}
     counts: dict[str, int] = {}
-    for rec in train_slides:
-        sums[rec.label] = sums.get(rec.label, 0.0) + rec.embeddings.sum(axis=0, dtype=np.float64)
-        counts[rec.label] = counts.get(rec.label, 0) + rec.rows
+    for rec, slide in zip(layout.slides, rows):
+        sums[rec.label] = sums.get(rec.label, 0.0) + slide.sum(axis=0)
+        counts[rec.label] = counts.get(rec.label, 0) + len(slide)
     means = {label: sums[label] / counts[label] for label in sums}
     centre = np.mean(list(means.values()), axis=0)
     return np.concatenate([
-        rec.embeddings.astype(np.float64) @ (means[rec.label] - centre)
-        for rec in train_slides
+        slide @ (means[rec.label] - centre) for rec, slide in zip(layout.slides, rows)
     ])
 
 
@@ -322,19 +323,6 @@ def select_survivors(combined, population_size) -> list[Individual]:
     return survivors
 
 
-def _evaluate_missing(population, evaluator) -> None:
-    """Score every individual without fitness in one ``evaluate`` call.
-
-    The genomes are stacked into one (N, P) matrix; the evaluator computes
-    each distinct genome that its cache does not hold, once.
-    """
-    pending = [ind for ind in population if ind.fitness is None]
-    if pending:
-        pairs = evaluator.evaluate(np.stack([ind.genome for ind in pending]))
-        for ind, pair in zip(pending, pairs):
-            ind.fitness = pair
-
-
 def _trace(generation, population) -> GenerationTrace:
     # The feasible members, or everyone when none is: survivor selection
     # keeps the best feasible f2, so best_f2_error never rises.
@@ -376,9 +364,11 @@ def run_evolution(dataset: SplitDataset, config: EvolutionConfig, workers=1,
     )
     rng = np.random.default_rng(config.seed)
 
-    relevance = class_relevance(dataset.train) if guided else None
+    relevance = class_relevance(layout) if guided else None
     population = initialize_population(layout, config, rng, relevance)
-    _evaluate_missing(population, evaluator)
+    pairs = evaluator.evaluate(np.stack([ind.genome for ind in population]))
+    for ind, pair in zip(population, pairs):
+        ind.fitness = pair
     rank_population(population)
     traces = [_trace(0, population)]
     if on_generation:
@@ -394,14 +384,12 @@ def run_evolution(dataset: SplitDataset, config: EvolutionConfig, workers=1,
                     config.crossover_swap_p, rng,
                 )
             )
-        offspring = [
-            Individual(genome=safe_bitflip_mutation(child, layout,
-                                                    config.mutation_flip_p, rng))
-            for child in children
+        children = [
+            safe_bitflip_mutation(child, layout, config.mutation_flip_p, rng) for child in children
         ]
-        combined = population + offspring
-        _evaluate_missing(combined, evaluator)
-        population = select_survivors(combined, config.population_size)
+        pairs = evaluator.evaluate(np.stack(children))
+        offspring = [Individual(genome=g, fitness=pair) for g, pair in zip(children, pairs)]
+        population = select_survivors(population + offspring, config.population_size)
         traces.append(_trace(generation, population))
         if on_generation:
             on_generation(traces[-1])

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -434,7 +434,8 @@ def weighted_f1(true_labels, predicted_labels, classes) -> float:
 # matrix, whichever is more. Each block reads the whole matrix, so a batch
 # whose libraries are smaller than the matrix reads it once, and a block's
 # libraries take no more memory than 1 MiB or the matrix. Library bits do
-# not depend on the block (see aggregate_selected).
+# not depend on the block (see aggregate_selected). A block's libraries are
+# dropped once scored; the batch is tallied once, after its last block.
 _LIBRARY_CELLS = 1 << 17
 # Each library block is scored in blocks of genomes whose k-NN and AUC work
 # arrays hold at most about this many float64 values (2 MiB): per genome
@@ -444,7 +445,8 @@ _LIBRARY_CELLS = 1 << 17
 # marks, as many bytes again (at most 2 MiB), which the evaluator keeps
 # from block to block. Bigger blocks save per-call overhead while they fit
 # the cache; a 300-slide cohort's AUC matrix alone is 380 x 300 values,
-# and there two or more genomes per block were no faster than one.
+# and there two or more genomes per block were no faster than one. A block
+# keeps only its (genomes x queries) class indices and its AUCs.
 _SCORING_CELLS = 1 << 18
 
 
@@ -532,11 +534,10 @@ class FitnessEvaluator:
         library slide are skipped; with none left the AUC is 0. Distances
         use ``expanded_sq_distances``.
         """
-        library = aggregate_selected(genome, self.layout)
-        return self._library_auc(self._retrieval_distances(library.vectors))
-
-    def _retrieval_distances(self, vectors) -> np.ndarray:
-        return expanded_sq_distances(self._retrieval_queries, vectors, self._retrieval_norms)
+        vectors = aggregate_selected(genome, self.layout).vectors
+        return self._library_auc(
+            expanded_sq_distances(self._retrieval_queries, vectors, self._retrieval_norms)
+        )
 
     def _library_auc(self, dists):
         """``retrieval_auc`` from the retrieval queries' expanded distances.
@@ -584,9 +585,9 @@ class FitnessEvaluator:
         size per block, whichever is larger. Each library block is scored
         in blocks of genomes that fit ``_SCORING_CELLS`` work values, at
         least one: distances, k-NN and the retrieval AUC each run once on a
-        whole scoring block, and the confusion counts, weighted F1 and
-        fitness pairs once on a whole library block (F1 is elementwise per
-        genome). A constrained evaluator computes one expanded distance
+        whole scoring block. The confusion counts, weighted F1 and fitness
+        pairs are then computed once for the whole batch (F1 is elementwise
+        per genome). A constrained evaluator computes one expanded distance
         matrix per genome for the AUC, and the k-NN shortlists from its
         evaluation rows. A genome's bits do not depend on either block.
         """
@@ -594,37 +595,36 @@ class FitnessEvaluator:
         cells = max(_LIBRARY_CELLS, self.layout.matrix.size)
         library_rows = max(1, cells // self._queries.shape[1] // self.layout.n_slides)
         scoring_rows = self._scoring_rows()
-        constrained = self.reference_auc is not None
-        results = []
+        # An empty first block lets an empty batch tally too.
+        predicted, aucs = [np.empty((0, len(self._queries)), dtype=np.intp)], []
         for start in range(0, len(genomes), library_rows):
-            block = genomes[start : start + library_rows]
-            vectors = aggregate_selected(block, self.layout).vectors
-            predicted, aucs = [], []
-            for part in range(0, len(block), scoring_rows):
+            vectors = aggregate_selected(genomes[start : start + library_rows], self.layout).vectors
+            for part in range(0, len(vectors), scoring_rows):
                 part_predicted, part_aucs = self._score_block(vectors[part : part + scoring_rows])
                 predicted.append(part_predicted)
                 aucs += part_aucs
-            counts = _tally(self._truth, np.concatenate(predicted), self._names, len(self.classes))
-            errors = 1.0 - weighted_f1_from_confusion(ConfusionMatrix(self.classes, counts))
-            for i, count in enumerate(block.sum(axis=1).tolist()):
-                pair = FitnessPair(
-                    f1_fraction=count / self.layout.total_patches,
-                    f2_error=float(errors[i]),
-                    violation=max(0.0, self.reference_auc - aucs[i]) if constrained else 0.0,
-                )
-                results.append((pair, ConfusionMatrix(self.classes, counts[i])))
+        counts = _tally(self._truth, np.concatenate(predicted), self._names, len(self.classes))
+        errors = 1.0 - weighted_f1_from_confusion(ConfusionMatrix(self.classes, counts))
+        results = []
+        for i, count in enumerate(genomes.sum(axis=1).tolist()):
+            pair = FitnessPair(
+                f1_fraction=count / self.layout.total_patches,
+                f2_error=float(errors[i]),
+                violation=max(0.0, self.reference_auc - aucs[i]) if aucs else 0.0,
+            )
+            results.append((pair, ConfusionMatrix(self.classes, counts[i])))
         return results if np.ndim(genome) == 2 else results[0]
 
     def _score_block(self, vectors) -> tuple[np.ndarray, list]:
         """(N, Q) k-NN class indices and N retrieval AUCs (none when
         unconstrained) for a block of N libraries' (N, S, dim) vectors."""
-        library = ReferenceLibrary(vectors=vectors, labels=self._train_codes)
-        if self.reference_auc is None:
-            return knn_predict(self._queries, library, self.k), []
-        dists = self._retrieval_distances(vectors)
-        if self._shares_queries:
-            library = replace(library, query_distances=dists[:, : len(self._queries)])
-        return knn_predict(self._queries, library, self.k), self._library_auc(dists)
+        constrained = self.reference_auc is not None
+        if constrained:
+            dists = expanded_sq_distances(self._retrieval_queries, vectors, self._retrieval_norms)
+        shared = dists[:, : len(self._queries)] if constrained and self._shares_queries else None
+        library = ReferenceLibrary(vectors=vectors, labels=self._train_codes, query_distances=shared)
+        predicted = knn_predict(self._queries, library, self.k)
+        return predicted, self._library_auc(dists) if constrained else []
 
     def evaluate(self, genome):
         """Objectives only, with digest-keyed memoization.

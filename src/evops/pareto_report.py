@@ -169,7 +169,7 @@ def build_report(dataset, config, population, traces, baseline=None) -> RunRepor
     best_test = _argbest(front, lambda s: s.test_f1)
     total = layout.total_patches
 
-    label_by_slide = {rec.slide_id: rec.label for rec in dataset.train}
+    label_by_slide = {rec.slide_id: rec.label for rec in layout.slides}
     per_class: dict[str, list[int]] = {}
     for slide_id, count in front[best_val].per_slide_counts.items():
         per_class.setdefault(label_by_slide[slide_id], []).append(count)
@@ -190,7 +190,7 @@ def build_report(dataset, config, population, traces, baseline=None) -> RunRepor
         total_patches=total,
         per_class_patches_per_slide=per_class_mean,
         layout=layout,
-        train_slide_ids=[rec.slide_id for rec in dataset.train],
+        train_slide_ids=[rec.slide_id for rec in layout.slides],
     )
 
 

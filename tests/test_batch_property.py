@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from evops import fitness
 from evops.dataset import SlideRecord, build_layout, truncate_columns
+from evops.evolution import class_relevance
 from evops.fitness import FitnessEvaluator, aggregate_selected
 from evops.synthgen import SynthConfig, generate
 from oracles import straight_line_fitness, straight_line_retrieval_auc
@@ -187,6 +188,56 @@ def test_wide_range_libraries_have_single_genome_bits(dim, library_cells):
                              aggregate_selected=recording):
         FitnessEvaluator(layout, evals, 3).evaluate_full(genomes)
     assert libraries == singles
+
+
+@pytest.mark.parametrize("dim", [64, 384])
+def test_class_relevance_has_the_float32_slides_bits(dim):
+    """Relevance read from the layout's float64 matrix has the bits of the
+    same formula over the training slides' float32 rows."""
+    train, _, layout, _ = _wide_range_cohort(dim)
+    sums, counts = {}, {}
+    for rec in train:
+        sums[rec.label] = sums.get(rec.label, 0.0) + rec.embeddings.sum(axis=0, dtype=np.float64)
+        counts[rec.label] = counts.get(rec.label, 0) + rec.rows
+    means = {label: sums[label] / counts[label] for label in sums}
+    centre = np.mean(list(means.values()), axis=0)
+    expected = np.concatenate(
+        [rec.embeddings.astype(np.float64) @ (means[rec.label] - centre) for rec in train]
+    )
+    assert class_relevance(layout).tobytes() == expected.tobytes()
+
+
+def test_one_tally_for_a_batch_of_several_library_blocks():
+    """14 patches over 4 slides: at the smallest cap a library block holds
+    14 // 4 = 3 genomes, so 10 genomes are aggregated in 4 blocks."""
+    rng = np.random.default_rng(3)
+    train = slides(rng, ["a", "b", "a", "b"], [3, 4, 2, 5], 3, "train")
+    evals = slides(rng, ["a", "b", "b"], [2, 3, 4], 3, "validation")
+    layout = build_layout(train)
+    genomes = rng.random((10, layout.total_patches)) < 0.5
+    genomes[:, layout.offsets] = True
+    evaluator = FitnessEvaluator(layout, evals, 2, constrained=True)
+    blocks, tallies = [], []
+    aggregate, tally = fitness.aggregate_selected, fitness._tally
+
+    def aggregating(*args):
+        blocks.append(len(args[0]))
+        return aggregate(*args)
+
+    def tallying(*args):
+        tallies.append(args[1].shape)
+        return tally(*args)
+
+    with mock.patch.multiple(fitness, _LIBRARY_CELLS=1, aggregate_selected=aggregating,
+                             _tally=tallying):
+        batch = evaluator.evaluate_full(genomes)
+    assert blocks == [3, 3, 3, 1]
+    assert tallies == [(10, 3)]
+    assert evaluator.evaluate_full(genomes[:0]) == []
+    for row, (pair, cm) in zip(genomes, batch):
+        single, single_cm = evaluator.evaluate_full(row)
+        assert pair == single
+        assert cm.counts.tobytes() == single_cm.counts.tobytes()
 
 
 def _rule_bits(columns):

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -88,6 +89,16 @@ def test_roundtrip_is_bit_exact(tmp_path):
         assert orig.split == back.split
         assert orig.embeddings.tobytes() == back.embeddings.tobytes()
     assert loaded.content_hash == ds.content_hash
+
+
+@pytest.mark.parametrize("slide_id", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"])
+def test_write_dataset_rejects_an_id_that_is_not_a_file_name(tmp_path, slide_id):
+    bad = make_slide(slide_id, "x", "test", 2, 3)
+    ds = make_dataset([make_slide("t", "x", "train", 2, 3)],
+                      [make_slide("v", "x", "validation", 2, 3)], [bad])
+    with pytest.raises(ValidationError, match=f"slide '{re.escape(slide_id)}'"):
+        write_dataset(ds, tmp_path / "wd" / "out")
+    assert list(tmp_path.rglob("*")) == []
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -443,14 +443,14 @@ def test_sort_with_violations_matches_pairwise_dominance():
 
 
 def test_class_relevance_hand_case():
-    from evops.dataset import SlideRecord
+    from evops.dataset import SlideRecord, build_layout
 
     slides = [
         SlideRecord("a", "x", "train", np.array([[2, 0], [0, 0]], dtype=np.float32)),
         SlideRecord("b", "y", "train", np.array([[0, 2], [0, 0]], dtype=np.float32)),
     ]
     # class means (1, 0) and (0, 1), centre (0.5, 0.5)
-    assert class_relevance(slides).tolist() == [1.0, 0.0, 1.0, 0.0]
+    assert class_relevance(build_layout(slides)).tolist() == [1.0, 0.0, 1.0, 0.0]
 
 
 def test_guided_initial_population_ranks_by_relevance():
@@ -458,7 +458,7 @@ def test_guided_initial_population_ranks_by_relevance():
 
     ds = generate(PLANTED)
     layout = build_layout(ds.train)
-    relevance = class_relevance(ds.train)
+    relevance = class_relevance(layout)
     population = initialize_population(layout, EvolutionConfig(population_size=20),
                                        np.random.default_rng(19), relevance)
     assert len(population) == 20
@@ -469,6 +469,24 @@ def test_guided_initial_population_ranks_by_relevance():
             kept = relevance[offset : offset + length][ind.genome[offset : offset + length]]
             dropped = relevance[offset : offset + length][~ind.genome[offset : offset + length]]
             assert not dropped.size or kept.min() >= dropped.max()
+
+
+@pytest.mark.parametrize("search", ["guided", "paper"])
+def test_each_generation_scores_only_its_offspring_in_one_call(search, monkeypatch):
+    from evops.fitness import FitnessEvaluator
+
+    ds = generate(PLANTED)
+    config = EvolutionConfig(population_size=12, generations=5, seed=4, search=search)
+    evaluate = FitnessEvaluator.evaluate
+    calls = []
+
+    def recording(self, genome):
+        calls.append(np.shape(genome))
+        return evaluate(self, genome)
+
+    monkeypatch.setattr(FitnessEvaluator, "evaluate", recording)
+    run_evolution(ds, config)
+    assert calls == [(12, ds.layout.total_patches)] * (config.generations + 1)
 
 
 def test_guided_front_is_feasible_and_paper_search_has_no_violations():
