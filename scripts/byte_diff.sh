@@ -10,7 +10,7 @@
 # when the two trees' outputs differ in any byte; `diff -r` names where.
 #
 # The commands: the quick-start cohort (gen-synth --seed 7) and a 4-class
-# dim-24 cohort whose k-NN takes the shortlist path; on each,
+# dim-24 cohort; on each,
 # run --seeds 1..2 --generations 15 under the guided and the paper search,
 # and baseline --out. Then a 300-slide cohort shaped like the benchmark's
 # many-slides workload, with run --seeds 1..2 --generations 5: its

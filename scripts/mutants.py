@@ -28,13 +28,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FITNESS = "src/evops/fitness.py"
 EVOLUTION = "src/evops/evolution.py"
+CLI = "src/evops/cli.py"
 
 MUTANTS = [
     (FITNESS, "    vectors /= counts[..., None]\n", "    vectors /= counts[..., None] + 1\n",
      "a library row is the mean of its slide's selected patches"),
-    (FITNESS, 'nearest = np.argsort(exact, axis=1, kind="stable")[:, :k]',
-     "nearest = np.argsort(exact, axis=1)[:, :k]",
-     "a distance tie goes to the lower row index (exact k-NN path)"),
+    (FITNESS, 'order = np.argsort(padded, axis=1, kind="stable")[:, :k]',
+     "order = np.argsort(padded, axis=1)[:, :k]",
+     "a distance tie goes to the lower row index (k-NN shortlist)"),
     (FITNESS, "_RESCORE_MARGIN = 1e-9", "_RESCORE_MARGIN = 0.0",
      "the k-NN shortlist re-scores every row its expansion may misorder"),
     (FITNESS, "nearest_tied = neighbors[rows[:, 0], np.argmax(tied[rows, neighbors], axis=1)]",
@@ -44,6 +45,8 @@ MUTANTS = [
      "a row with a float32 tie across classes is counted again in float64"),
     (FITNESS, "dists[(..., *self._self_cells)] = np.inf", "pass",
      "a training slide is left out of its own retrieval ranking"),
+    (FITNESS, "    keys <<= np.uint64(1)\n    keys |= same_bit\n", "    keys -= same_bit\n",
+     "a same-class entry wins a pair only when strictly nearer"),
     (FITNESS, "max(0.0, self.reference_auc - aucs[i])", "max(0.0, aucs[i] - self.reference_auc)",
      "the violation is how far a genome's AUC falls below the all-patches AUC"),
     (FITNESS, "f1_fraction=count / self.layout.total_patches,",
@@ -64,6 +67,11 @@ MUTANTS = [
     (EVOLUTION, "winner = a if a.crowding > b.crowding else b",
      "winner = a if a.crowding < b.crowding else b",
      "a tournament at equal rank prefers the larger crowding distance"),
+    (CLI, '    run.add_argument("--swap-p", dest="crossover_swap_p", type=float)\n'
+          '    run.add_argument("--flip-p", dest="mutation_flip_p", type=float)\n',
+     '    run.add_argument("--swap-p", dest="mutation_flip_p", type=float)\n'
+     '    run.add_argument("--flip-p", dest="crossover_swap_p", type=float)\n',
+     "each run flag sets the config field of its name"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "_work", "__pycache__", ".pytest_cache", ".hypothesis",

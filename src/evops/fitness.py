@@ -79,8 +79,8 @@ class ReferenceLibrary:
 
     ``query_distances``, when set, holds the expanded squared distances
     (``expanded_sq_distances``) from the Q queries that ``knn_predict``
-    will be given to every vector, (Q, S) or (N, Q, S); the k-NN shortlist
-    then reads them instead of expanding again.
+    will be given to every vector, (Q, S) or (N, Q, S); the k-NN then
+    shortlists from them instead of expanding again.
     """
 
     vectors: np.ndarray  # (S, dim) or (N, S, dim) float64
@@ -176,10 +176,6 @@ def expanded_sq_distances(queries, vectors, query_norms) -> np.ndarray:
     return dists
 
 
-# Up to this many difference cells (query, row, dim) per genome,
-# nearest_rows scores every row from differences; above it, the expansion
-# shortlists first.
-_EXACT_CELLS = 1 << 15
 # Rows whose expanded distance lies within this share of |q|^2 + max |v|^2
 # of the k-th smallest are re-scored exactly. The expansion's rounding error
 # is about dim * 1e-16 of the same scale, far inside it.
@@ -191,28 +187,20 @@ def nearest_rows(queries, vectors, k, approx=None) -> np.ndarray:
 
     ``vectors`` is (n, dim), or (N, n, dim) for a batch of N genomes,
     giving (N, Q, min(k, n)). Ordered by squared distance computed from
-    explicit differences, ties to the lower row index. When a genome has
-    at most ``_EXACT_CELLS`` (query, row, dim) cells every row is scored
-    from differences. Otherwise the expansion only shortlists: every row
-    near enough to the k-th expanded distance is re-scored from
-    differences. ``approx`` may pass those expanded distances, shaped as
-    the result of ``expanded_sq_distances``; any rounding of them well
-    inside ``_RESCORE_MARGIN`` gives the same rows.
+    explicit differences, ties to the lower row index. The expansion
+    (``expanded_sq_distances``) only shortlists: every row near enough to
+    the k-th expanded distance is re-scored from differences. ``approx``
+    may pass those expanded distances, shaped as its result; any rounding
+    of them well inside ``_RESCORE_MARGIN`` gives the same rows.
     """
     n, dim = vectors.shape[-2:]
     k = min(k, n)
     batch = vectors.reshape(-1, n, dim)
     n_queries = queries.shape[0]
-    if n_queries * n * dim <= _EXACT_CELLS:
-        diffs = queries[:, None, :] - batch[:, None, :, :]
-        diffs = diffs.reshape(-1, n, dim)
-        exact = np.einsum("qij,qij->qi", diffs, diffs)
-        nearest = np.argsort(exact, axis=1, kind="stable")[:, :k]
-        return nearest.reshape(vectors.shape[:-2] + (n_queries, k))
     norms = np.einsum("ij,ij->i", queries, queries)
     if approx is None:
         approx = expanded_sq_distances(queries, batch, norms)
-    approx = approx.reshape(-1, n_queries, n)
+    approx = approx.reshape(len(batch), n_queries, n)
     kth = np.partition(approx, k - 1, axis=-1)[..., k - 1]
     scale = norms + _row_norms(batch).max(axis=-1)[:, None]
     near = approx <= (kth + _RESCORE_MARGIN * scale)[..., None]
@@ -226,7 +214,7 @@ def nearest_rows(queries, vectors, k, approx=None) -> np.ndarray:
     # stable sort of every candidate at once costs more than linear time).
     counts = np.bincount(cell, minlength=len(approx) * n_queries)
     starts = np.cumsum(counts) - counts
-    padded = np.full((len(counts), counts.max()), np.inf)
+    padded = np.full((len(counts), counts.max(initial=0)), np.inf)
     padded[cell, np.arange(len(cell)) - starts[cell]] = exact
     order = np.argsort(padded, axis=1, kind="stable")[:, :k]
     nearest = cols[starts[:, None] + order]
@@ -440,13 +428,13 @@ _LIBRARY_CELLS = 1 << 17
 # Each library block is scored in blocks of genomes whose k-NN and AUC work
 # arrays hold at most about this many float64 values (2 MiB): per genome
 # its AUC distance matrix, the k-NN's (queries x S) distances and the rows
-# it scores from differences (k shortlisted rows per query, or every row,
-# times dim). The AUC matrix also sizes _lost_pairs' 4-byte keys and tie
-# marks, as many bytes again (at most 2 MiB), which the evaluator keeps
-# from block to block. Bigger blocks save per-call overhead while they fit
-# the cache; a 300-slide cohort's AUC matrix alone is 380 x 300 values,
-# and there two or more genomes per block were no faster than one. A block
-# keeps only its (genomes x queries) class indices and its AUCs.
+# it scores from differences (k shortlisted rows per query, times dim).
+# The AUC matrix also sizes _lost_pairs' 4-byte keys and tie marks, as
+# many bytes again (at most 2 MiB), which the evaluator keeps from block
+# to block. Bigger blocks save per-call overhead while they fit the cache;
+# a 300-slide cohort's AUC matrix alone is 380 x 300 values, and there two
+# or more genomes per block were no faster than one. A block keeps only
+# its (genomes x queries) class indices and its AUCs.
 _SCORING_CELLS = 1 << 18
 
 
@@ -572,8 +560,7 @@ class FitnessEvaluator:
         n, dim = self.layout.n_slides, self._queries.shape[1]
         n_eval = len(self._queries)
         n_auc = 0 if self.reference_auc is None else len(self._retrieval_queries)
-        scored = n if n_eval * n * dim <= _EXACT_CELLS else min(self.k, n)
-        return max(1, _SCORING_CELLS // ((n_auc + n_eval) * n + n_eval * scored * dim))
+        return max(1, _SCORING_CELLS // ((n_auc + n_eval) * n + n_eval * min(self.k, n) * dim))
 
     def evaluate_full(self, genome):
         """Both objectives plus the evaluation-split confusion matrix.

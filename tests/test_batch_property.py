@@ -105,24 +105,24 @@ def _bits(*values):
     return tuple(float(v).hex() for v in values)
 
 
-@pytest.mark.parametrize("exact_cells", [0, fitness._EXACT_CELLS], ids=["shortlist", "exact"])
 @pytest.mark.parametrize("block_cells", [1, 1 << 62], ids=["genome-blocks", "one-block"])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(cohort=cohorts())
 @example(cohort=_no_train_slide_of_a_validation_class())
-def test_block_and_knn_path_match_single_genome_scoring(cohort, block_cells, exact_cells):
-    """Each k-NN path and block size gives every genome its single-genome bits.
+def test_block_and_knn_path_match_single_genome_scoring(cohort, block_cells):
+    """Each block size, with either source of the k-NN's expanded distances,
+    gives every genome its single-genome bits.
 
     The reference scores one genome at a time with an unconstrained
-    evaluator, whose k-NN expands on its own; a constrained evaluator's
-    k-NN shortlists from the retrieval distances instead.
+    evaluator, whose k-NN expands on its own before it shortlists; a
+    constrained evaluator's k-NN shortlists from the retrieval distances
+    instead.
     """
     train, evals, layout, genomes, k = cohort
     classes = sorted({rec.label for rec in train + evals})
     ones = np.ones(layout.total_patches, dtype=bool)
     reference_auc = straight_line_retrieval_auc(ones, layout, train, evals)
-    with mock.patch.multiple(fitness, _EXACT_CELLS=exact_cells, _LIBRARY_CELLS=block_cells,
-                             _SCORING_CELLS=block_cells):
+    with mock.patch.multiple(fitness, _LIBRARY_CELLS=block_cells, _SCORING_CELLS=block_cells):
         plain = FitnessEvaluator(layout, evals, k)
         singles = [plain.evaluate_full(row) for row in genomes]
         for constrained in (False, True):
