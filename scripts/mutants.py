@@ -67,6 +67,18 @@ MUTANTS = [
     (EVOLUTION, "winner = a if a.crowding > b.crowding else b",
      "winner = a if a.crowding < b.crowding else b",
      "a tournament at equal rank prefers the larger crowding distance"),
+    (EVOLUTION, "        if first < m - 1:\n"
+                "            rng.bit_generator.state = saved\n"
+                "            rng.random(out=draws[: first + 1])\n"
+                "        repair(row + first, has[first])\n"
+                "        row += first + 1\n",
+     "        for first in np.flatnonzero(~has.reshape(m, -1).all(axis=1)):\n"
+     "            repair(row + first, has[first])\n"
+     "        row += m\n",
+     "a repair draws before the next row's uniforms (variation windows rewind)"),
+    (EVOLUTION, "for child, child_has in zip(children[i], has):",
+     "for child, child_has in zip(children[i, ::-1], has[::-1]):",
+     "a pair's repairs draw for child_a's segments before child_b's"),
     (CLI, '    run.add_argument("--swap-p", dest="crossover_swap_p", type=float)\n'
           '    run.add_argument("--flip-p", dest="mutation_flip_p", type=float)\n',
      '    run.add_argument("--swap-p", dest="mutation_flip_p", type=float)\n'

@@ -25,7 +25,12 @@ Randomness discipline: one root seed feeds a single sequential generator.
 Draw order is fixed (initialization, then per generation: parent selection,
 all crossovers pair-by-pair, all mutations offspring-by-offspring), and
 fitness evaluation consumes no randomness, so a run is a deterministic
-function of (dataset, config).
+function of (dataset, config). A generation makes one crossover call for all
+its pairs and one mutation call for all its children. Each call draws its
+rows' uniforms a window at a time, and rewinds the generator to just after
+a row that needs a repair before drawing the repair
+(``_vary_in_windows``), so the stream is draw for draw that of one row at
+a time.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import GenomeLayout, SplitDataset, check_number_fields
-from .fitness import FitnessEvaluator, FitnessPair, segment_popcounts
+from .fitness import FitnessEvaluator, FitnessPair, genome_matrix, segment_popcounts
 
 SEARCHES = ("guided", "paper")
 
@@ -164,12 +169,48 @@ def _ranked_population(layout, config, rng, relevance) -> list[Individual]:
     return population
 
 
-def _repair_empty_segments_from_parents(child, parent_a, parent_b, layout, rng):
-    counts = segment_popcounts(child, layout)
-    for seg in np.flatnonzero(counts == 0):
-        _, offset, length = layout.segments[seg]
-        source = parent_a if rng.integers(2) == 0 else parent_b
-        child[offset : offset + length] = source[offset : offset + length]
+# Uniforms drawn per variation window at most (512 KiB of float64): rows
+# past a window's first repair are drawn for nothing, and a wide window
+# costs memory on a wide genome.
+_WINDOW_DOUBLES = 1 << 16
+
+
+def _vary_in_windows(n, width, rng, vary, repair):
+    """Draw ``n`` rows of ``width`` uniforms in windows, as one row at a time would.
+
+    ``vary(rows, draws)`` applies a window's (m, width) uniforms to the
+    output rows ``rows`` (a slice) and returns, per row, a bool array that
+    is False where the row has a segment to repair; ``repair(i, has)``
+    repairs row ``i`` from its array. Row by row, a repair draws after its
+    row's uniforms and before the next row's, so the first row to repair
+    closes its window: the generator goes back to its state before the
+    window (``bit_generator.state``, which keeps the 32-bit half that
+    ``integers`` may have buffered; ``advance`` would drop it), redraws the
+    rows up to that one, and the repair draws from there. A window holds
+    half the clean rows drawn since the last repair, at least one (drawn
+    without saving the state) and at most ``_WINDOW_DOUBLES`` uniforms, so
+    it grows only after clean windows and a cohort that repairs often
+    draws one row at a time.
+    """
+    cap = max(1, _WINDOW_DOUBLES // width)
+    row = 0
+    run = 0  # clean rows since the last repair
+    while row < n:
+        m = min(max(1, run // 2), cap, n - row)
+        saved = rng.bit_generator.state if m > 1 else None
+        draws = rng.random((m, width))
+        has = vary(slice(row, row + m), draws)
+        if has.all():
+            row += m
+            run += m
+            continue
+        first = int(has.reshape(m, -1).all(axis=1).argmin()) if m > 1 else 0
+        if first < m - 1:
+            rng.bit_generator.state = saved
+            rng.random(out=draws[: first + 1])
+        repair(row + first, has[first])
+        row += first + 1
+        run = 0
 
 
 def safe_uniform_crossover(parent_a, parent_b, layout, swap_p, rng):
@@ -178,24 +219,58 @@ def safe_uniform_crossover(parent_a, parent_b, layout, swap_p, rng):
     Any child segment left all-zero is overwritten with the corresponding
     segment of one of the two original parents, chosen at random; both
     parents are coverage-valid so repair always succeeds.
+
+    One (P,) pair of parents gives two (P,) children; (N, P) parents give
+    two (N, P) matrices, row i the children of row i's pair. The random
+    stream is that of the pairs crossed one after another: each pair draws
+    P uniforms, then one parent per empty segment of child_a, then of
+    child_b.
     """
-    swap = rng.random(layout.total_patches) < swap_p
-    child_a = np.where(swap, parent_b, parent_a)
-    child_b = np.where(swap, parent_a, parent_b)
-    _repair_empty_segments_from_parents(child_a, parent_a, parent_b, layout, rng)
-    _repair_empty_segments_from_parents(child_b, parent_a, parent_b, layout, rng)
-    return child_a, child_b
+    pa = genome_matrix(parent_a, layout)
+    pb = genome_matrix(parent_b, layout)
+    differ = pa ^ pb
+    children = np.empty((len(pa), 2, layout.total_patches), dtype=bool)
+
+    def vary(rows, draws):
+        swap = draws < swap_p
+        swap &= differ[rows]
+        np.bitwise_xor(pa[rows], swap, out=children[rows, 0])
+        np.bitwise_xor(pb[rows], swap, out=children[rows, 1])
+        return np.logical_or.reduceat(children[rows], layout.offsets, axis=-1)
+
+    def repair(i, has):
+        for child, child_has in zip(children[i], has):  # child_a's segments first
+            for seg in np.flatnonzero(~child_has):
+                _, offset, length = layout.segments[seg]
+                source = pa if rng.integers(2) == 0 else pb
+                child[offset : offset + length] = source[i, offset : offset + length]
+
+    _vary_in_windows(len(pa), layout.total_patches, rng, vary, repair)
+    shape = np.shape(parent_a)
+    return children[:, 0].reshape(shape), children[:, 1].reshape(shape)
 
 
 def safe_bitflip_mutation(genome, layout, flip_p, rng):
-    """Flip each bit independently, then re-seed any emptied segment."""
-    flips = rng.random(layout.total_patches) < flip_p
-    mutated = genome ^ flips
-    counts = segment_popcounts(mutated, layout)
-    for seg in np.flatnonzero(counts == 0):
-        _, offset, length = layout.segments[seg]
-        mutated[offset + rng.integers(0, length)] = True
-    return mutated
+    """Flip each bit independently, then re-seed any emptied segment.
+
+    One (P,) genome gives one (P,) genome; an (N, P) matrix gives (N, P).
+    The random stream is that of the rows mutated one after another: each
+    row draws P uniforms, then one position per emptied segment.
+    """
+    genomes = genome_matrix(genome, layout)
+    mutated = np.empty_like(genomes)
+
+    def vary(rows, draws):
+        mutated[rows] = genomes[rows] ^ (draws < flip_p)
+        return np.logical_or.reduceat(mutated[rows], layout.offsets, axis=-1)
+
+    def repair(i, has):
+        for seg in np.flatnonzero(~has):
+            _, offset, length = layout.segments[seg]
+            mutated[i, offset + rng.integers(0, length)] = True
+
+    _vary_in_windows(len(genomes), layout.total_patches, rng, vary, repair)
+    return mutated.reshape(np.shape(genome))
 
 
 def dominates(a: FitnessPair, b: FitnessPair) -> bool:
@@ -375,20 +450,16 @@ def run_evolution(dataset: SplitDataset, config: EvolutionConfig, workers=1,
         on_generation(traces[-1])
 
     for generation in range(1, config.generations + 1):
-        pool = select_parents(population, rng)
-        children: list[np.ndarray] = []
-        for i in range(0, len(pool), 2):
-            children.extend(
-                safe_uniform_crossover(
-                    pool[i].genome, pool[i + 1].genome, layout,
-                    config.crossover_swap_p, rng,
-                )
-            )
-        children = [
-            safe_bitflip_mutation(child, layout, config.mutation_flip_p, rng) for child in children
-        ]
-        pairs = evaluator.evaluate(np.stack(children))
-        offspring = [Individual(genome=g, fitness=pair) for g, pair in zip(children, pairs)]
+        pool = np.stack([ind.genome for ind in select_parents(population, rng)])
+        pairs = safe_uniform_crossover(pool[0::2], pool[1::2], layout, config.crossover_swap_p,
+                                       rng)
+        # Each pair's two children in turn, the order mutation draws them in.
+        children = np.stack(pairs, axis=1).reshape(pool.shape)
+        del pool, pairs  # freed before mutation allocates: a lower peak on wide genomes
+        children = safe_bitflip_mutation(children, layout, config.mutation_flip_p, rng)
+        pairs = evaluator.evaluate(children)
+        # Copied rows: a survivor's view would keep its generation's whole matrix alive.
+        offspring = [Individual(genome=g.copy(), fitness=pair) for g, pair in zip(children, pairs)]
         population = select_survivors(population + offspring, config.population_size)
         traces.append(_trace(generation, population))
         if on_generation:

@@ -206,8 +206,9 @@ def nearest_rows(queries, vectors, k, approx=None) -> np.ndarray:
     near = approx <= (kth + _RESCORE_MARGIN * scale)[..., None]
     # Candidates in (genome, query, row) order; a cell is one (genome, query).
     cell, cols = np.divmod(np.flatnonzero(near), n)
-    diffs = batch.reshape(-1, dim)[cell // n_queries * n + cols]
-    diffs -= queries[cell % n_queries]  # (v - q)**2 has the bits of (q - v)**2
+    # np.take gathers the same rows as fancy indexing, faster.
+    diffs = np.take(batch.reshape(-1, dim), cell // n_queries * n + cols, axis=0)
+    diffs -= np.take(queries, cell % n_queries, axis=0)  # (v - q)**2 has the bits of (q - v)**2
     exact = np.einsum("ij,ij->i", diffs, diffs)
     # Each cell's candidates in one row, padded with +inf past its count;
     # a stable sort of short rows keeps tied distances in row order (one

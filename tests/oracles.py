@@ -2,8 +2,9 @@
 
 Everything here is deliberately written with plain Python loops and dicts,
 sharing no code path with the package: masked means, full-sort k-NN,
-hand confusion-matrix F1, pairwise dominance-count front peeling, and
-lexicographic survivor selection.
+hand confusion-matrix F1, pairwise dominance-count front peeling,
+lexicographic survivor selection, and crossover and mutation one pair or
+genome at a time, in the order they draw from the generator.
 """
 
 from collections import Counter
@@ -162,3 +163,42 @@ def straight_line_retrieval_auc(genome, layout, train_slides, eval_slides):
             won = sum(1 for s in same for o in other if s < o)
             scores.append(won / (len(same) * len(other)))
     return sum(scores) / len(scores) if scores else 0.0
+
+
+def _empty_segments(genome, layout):
+    return [seg for seg, (_, offset, length) in enumerate(layout.segments)
+            if not any(genome[offset : offset + length])]
+
+
+def pairwise_crossover(parent_a, parent_b, layout, swap_p, rng):
+    """One pair's uniform crossover, drawing as the spec orders it.
+
+    P uniforms (a gene swaps where its uniform is below ``swap_p``), then,
+    for each empty segment of child_a in order and then of child_b, one
+    ``rng.integers(2)`` naming the parent (0 for a, 1 for b) the segment is
+    copied back from.
+    """
+    swap = rng.random(layout.total_patches) < swap_p
+    child_a = [b if s else a for a, b, s in zip(parent_a, parent_b, swap)]
+    child_b = [a if s else b for a, b, s in zip(parent_a, parent_b, swap)]
+    for child in (child_a, child_b):
+        for seg in _empty_segments(child, layout):
+            source = parent_a if rng.integers(2) == 0 else parent_b
+            _, offset, length = layout.segments[seg]
+            child[offset : offset + length] = list(source[offset : offset + length])
+    return child_a, child_b
+
+
+def pairwise_mutation(genome, layout, flip_p, rng):
+    """One genome's bit-flip mutation, drawing as the spec orders it.
+
+    P uniforms (a bit flips where its uniform is below ``flip_p``), then,
+    for each emptied segment in order, one ``rng.integers(0, length)``
+    naming the position set again.
+    """
+    flips = rng.random(layout.total_patches) < flip_p
+    mutated = [bool(g) != bool(f) for g, f in zip(genome, flips)]
+    for seg in _empty_segments(mutated, layout):
+        _, offset, length = layout.segments[seg]
+        mutated[offset + rng.integers(0, length)] = True
+    return mutated

@@ -1,9 +1,13 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evops import evolution
 from evops.dataset import GenomeLayout
 from evops.evolution import (
     EvolutionConfig,
@@ -23,7 +27,13 @@ from evops.evolution import (
 )
 from evops.fitness import FitnessPair
 from evops.synthgen import SynthConfig, generate
-from oracles import brute_force_fronts, lexicographic_survivors, survivor_order
+from oracles import (
+    brute_force_fronts,
+    lexicographic_survivors,
+    pairwise_crossover,
+    pairwise_mutation,
+    survivor_order,
+)
 
 
 def random_layout(rng, max_slides=20, max_len=30):
@@ -172,6 +182,79 @@ def test_mutation_keeps_coverage_randomized():
         genome = random_covered_genome(rng, layout, density=float(rng.uniform(0.05, 0.5)))
         out = safe_bitflip_mutation(genome, layout, float(rng.uniform(0, 0.3)), rng)
         assert coverage_valid(out, layout)
+
+
+@st.composite
+def variation_cases(draw):
+    """Parents on a layout of 1-3 patch segments, rates, a seed and a window cap.
+
+    Sparse parents and high rates repair often; dense parents and low rates
+    give clean runs long enough for windows to grow, past the cap when it
+    is small. Half the cases are one (P,) pair instead of an (N, P) matrix.
+    """
+    lengths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=8))
+    offsets = np.cumsum([0] + lengths)
+    layout = GenomeLayout(total_patches=int(offsets[-1]), segments=tuple(
+        (i, int(offset), length) for i, (offset, length) in enumerate(zip(offsets, lengths))))
+    single = draw(st.booleans())
+    n = 1 if single else draw(st.integers(0, 40))
+    density = draw(st.sampled_from([0.05, 0.3, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pa, pb = (np.array([random_covered_genome(rng, layout, density) for _ in range(n)],
+                       dtype=bool).reshape(n, layout.total_patches) for _ in range(2))
+    if single:
+        pa, pb = pa[0], pb[0]
+    rate = st.sampled_from([0.0, 0.01, 0.1, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0)
+    return (layout, pa, pb, draw(rate), draw(rate), draw(st.integers(0, 2**64 - 1)),
+            draw(st.booleans()), draw(st.sampled_from([1, 5, 40, evolution._WINDOW_DOUBLES])))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(variation_cases())
+def test_batched_operators_draw_as_the_pairwise_oracle(case):
+    layout, pa, pb, swap_p, flip_p, seed, buffered, cap = case
+    batched, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:  # integers() leaves a 32-bit half buffered for the repairs
+        batched.integers(2)
+        oracle.integers(2)
+    with mock.patch.object(evolution, "_WINDOW_DOUBLES", cap):
+        child_a, child_b = safe_uniform_crossover(pa, pb, layout, swap_p, batched)
+        children = np.stack([child_a, child_b], axis=-2).reshape(-1, layout.total_patches)
+        mutated = safe_bitflip_mutation(children if pa.ndim == 2 else child_b, layout, flip_p,
+                                        batched)
+
+    pairs = [pairwise_crossover(a, b, layout, swap_p, oracle)
+             for a, b in zip(np.atleast_2d(pa), np.atleast_2d(pb))]
+    expected_a = np.array([a for a, _ in pairs], dtype=bool).reshape(pa.shape)
+    expected_b = np.array([b for _, b in pairs], dtype=bool).reshape(pb.shape)
+    to_mutate = [child for pair in pairs for child in pair] if pa.ndim == 2 else [pairs[0][1]]
+    expected_mutated = np.array([pairwise_mutation(child, layout, flip_p, oracle)
+                                 for child in to_mutate], dtype=bool)
+    assert child_a.shape == child_b.shape == pa.shape
+    assert np.array_equal(child_a, expected_a) and np.array_equal(child_b, expected_b)
+    assert np.array_equal(mutated, expected_mutated.reshape(mutated.shape))
+    assert batched.bit_generator.state == oracle.bit_generator.state
+
+
+def test_a_generation_makes_one_crossover_and_one_mutation_call():
+    ds = generate(PLANTED)
+    config = EvolutionConfig(population_size=12, generations=3, seed=6)
+    calls = []
+
+    def recording(name, operator):
+        def record(genomes, *args):
+            calls.append((name, np.shape(genomes)))
+            return operator(genomes, *args)
+        return record
+
+    with mock.patch.multiple(
+        evolution,
+        safe_uniform_crossover=recording("crossover", safe_uniform_crossover),
+        safe_bitflip_mutation=recording("mutation", safe_bitflip_mutation),
+    ):
+        run_evolution(ds, config)
+    P = ds.layout.total_patches
+    assert calls == [("crossover", (6, P)), ("mutation", (12, P))] * config.generations
 
 
 def test_dominates_cases():
