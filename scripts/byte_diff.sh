@@ -15,8 +15,13 @@
 # and baseline --out. Then a 300-slide cohort shaped like the benchmark's
 # many-slides workload, with run --seeds 1..2 --generations 5: its
 # retrieval AUC meets same-class and other-class distances that tie in
-# float32, so the AUC's exact 64-bit recount runs there. Both sides should
-# run on one machine with one BLAS.
+# float32, so the AUC's exact 64-bit recount runs there. Last, the
+# quick-start cohort with every training slide listed twice, the second
+# time as <slide_id>_twin, with run under both searches and baseline --out:
+# a slide and its twin give equal library rows wherever a genome selects
+# the same patches in both, so the k-NN re-scores its tied queries from
+# exact differences there. Both sides should run on one machine with one
+# BLAS.
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
@@ -62,6 +67,21 @@ run_tree() {
     --val-per-class 20 --test-per-class 20 --min-patches 2 --max-patches 8 \
     --dim 16 --separation 3.0 --seed 3
   step run-many-guided run --dataset many --out runs/many-guided --seeds 1..2 --generations 5
+  cp -R quick twins
+  "$python" - twins/manifest.json <<'PY'
+import json, sys
+with open(sys.argv[1]) as f:
+    manifest = json.load(f)
+manifest["slides"] += [dict(entry, slide_id=entry["slide_id"] + "_twin")
+                       for entry in manifest["slides"] if entry["split"] == "train"]
+with open(sys.argv[1], "w") as f:
+    json.dump(manifest, f, indent=2)
+PY
+  for search in guided paper; do
+    step "run-twins-$search" run --dataset twins --out "runs/twins-$search" \
+      --seeds 1..2 --generations 15 --search "$search"
+  done
+  step baseline-twins baseline --dataset twins --out baseline/twins
 }
 
 (run_tree "$1" base)

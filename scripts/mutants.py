@@ -35,9 +35,15 @@ MUTANTS = [
      "a library row is the mean of its slide's selected patches"),
     (FITNESS, 'order = np.argsort(padded, axis=1, kind="stable")[:, :k]',
      "order = np.argsort(padded, axis=1)[:, :k]",
-     "a distance tie goes to the lower row index (k-NN shortlist)"),
+     "a distance tie goes to the lower row index (k-NN re-score)"),
     (FITNESS, "_RESCORE_MARGIN = 1e-9", "_RESCORE_MARGIN = 0.0",
-     "the k-NN shortlist re-scores every row its expansion may misorder"),
+     "the k-NN shortlist holds every row its expansion may misorder"),
+    (FITNESS, "    if tied.size:\n", "    if False:\n",
+     "a k-NN shortlist with a near tie is re-scored from exact differences"),
+    (FITNESS, "tied = np.flatnonzero(near_tie | (counts > k))", "tied = np.flatnonzero(counts > k)",
+     "a k-NN shortlist of k rows, two of them within the margin, is re-scored"),
+    (FITNESS, "tied = np.flatnonzero(near_tie | (counts > k))", "tied = np.flatnonzero(near_tie)",
+     "a k-NN shortlist of more than k rows is re-scored"),
     (FITNESS, "nearest_tied = neighbors[rows[:, 0], np.argmax(tied[rows, neighbors], axis=1)]",
      "nearest_tied = np.argmax(tied, axis=1)",
      "a vote tie goes to the nearest tied label"),

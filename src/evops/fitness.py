@@ -176,9 +176,10 @@ def expanded_sq_distances(queries, vectors, query_norms) -> np.ndarray:
     return dists
 
 
-# Rows whose expanded distance lies within this share of |q|^2 + max |v|^2
-# of the k-th smallest are re-scored exactly. The expansion's rounding error
-# is about dim * 1e-16 of the same scale, far inside it.
+# Two expanded distances of a query within this share of |q|^2 + max |v|^2
+# of each other are a near tie, and so is a row this near the k-th
+# smallest: a query that meets one is re-scored exactly. The expansion's
+# rounding error is about dim * 1e-16 of the same scale, far inside it.
 _RESCORE_MARGIN = 1e-9
 
 
@@ -187,11 +188,14 @@ def nearest_rows(queries, vectors, k, approx=None) -> np.ndarray:
 
     ``vectors`` is (n, dim), or (N, n, dim) for a batch of N genomes,
     giving (N, Q, min(k, n)). Ordered by squared distance computed from
-    explicit differences, ties to the lower row index. The expansion
-    (``expanded_sq_distances``) only shortlists: every row near enough to
-    the k-th expanded distance is re-scored from differences. ``approx``
-    may pass those expanded distances, shaped as its result; any rounding
-    of them well inside ``_RESCORE_MARGIN`` gives the same rows.
+    explicit differences, ties to the lower row index. A query's shortlist
+    is the rows within ``_RESCORE_MARGIN`` of its k-th expanded distance
+    (``expanded_sq_distances``). A shortlist of exactly k rows, no two
+    within the margin of each other, is ordered by its expanded distances:
+    their rounding is far inside the margin, so exact differences would
+    order it the same. Any other shortlist is re-scored from differences.
+    ``approx`` may pass the expanded distances, shaped as the result; any
+    rounding of them well inside the margin gives the same rows.
     """
     n, dim = vectors.shape[-2:]
     k = min(k, n)
@@ -202,23 +206,38 @@ def nearest_rows(queries, vectors, k, approx=None) -> np.ndarray:
         approx = expanded_sq_distances(queries, batch, norms)
     approx = approx.reshape(len(batch), n_queries, n)
     kth = np.partition(approx, k - 1, axis=-1)[..., k - 1]
-    scale = norms + _row_norms(batch).max(axis=-1)[:, None]
-    near = approx <= (kth + _RESCORE_MARGIN * scale)[..., None]
-    # Candidates in (genome, query, row) order; a cell is one (genome, query).
-    cell, cols = np.divmod(np.flatnonzero(near), n)
-    # np.take gathers the same rows as fancy indexing, faster.
-    diffs = np.take(batch.reshape(-1, dim), cell // n_queries * n + cols, axis=0)
-    diffs -= np.take(queries, cell % n_queries, axis=0)  # (v - q)**2 has the bits of (q - v)**2
-    exact = np.einsum("ij,ij->i", diffs, diffs)
-    # Each cell's candidates in one row, padded with +inf past its count;
-    # a stable sort of short rows keeps tied distances in row order (one
-    # stable sort of every candidate at once costs more than linear time).
-    counts = np.bincount(cell, minlength=len(approx) * n_queries)
+    margin = _RESCORE_MARGIN * (norms + _row_norms(batch).max(axis=-1)[:, None])
+    near = approx <= (kth + margin)[..., None]
+    # Shortlisted rows in (genome, query, row) order; a cell is one (genome, query).
+    flat = np.flatnonzero(near)
+    cell, cols = np.divmod(flat, n)
+    counts = np.bincount(cell, minlength=margin.size)
     starts = np.cumsum(counts) - counts
-    padded = np.full((len(counts), counts.max(initial=0)), np.inf)
-    padded[cell, np.arange(len(cell)) - starts[cell]] = exact
-    order = np.argsort(padded, axis=1, kind="stable")[:, :k]
+    # Every shortlist holds at least k rows. Its first k, sorted by expanded
+    # distance, stand unless the cell is re-scored below; a cell that is not
+    # holds just those k rows, no two within the margin, in a unique order.
+    dists = np.take(approx, flat[starts[:, None] + np.arange(k)])
+    order = np.argsort(dists, axis=1)
+    dists = np.take_along_axis(dists, order, axis=1)
     nearest = cols[starts[:, None] + order]
+    near_tie = (dists[:, 1:] <= dists[:, :-1] + margin.reshape(-1, 1)).any(axis=1)
+    tied = np.flatnonzero(near_tie | (counts > k))
+    if tied.size:
+        # The tied cells' shortlists, one row each, padded with +inf past
+        # its count; a stable sort of short rows keeps tied distances in
+        # row order (one stable sort of every candidate at once costs more
+        # than linear time).
+        slots = np.arange(counts[tied].max())
+        kept = slots < counts[tied, None]
+        picked = (starts[tied, None] + slots)[kept]
+        at = cell[picked]
+        # np.take gathers the same rows as fancy indexing, faster.
+        diffs = np.take(batch.reshape(-1, dim), at // n_queries * n + cols[picked], axis=0)
+        diffs -= np.take(queries, at % n_queries, axis=0)  # (v - q)**2 has the bits of (q - v)**2
+        padded = np.full(kept.shape, np.inf)
+        padded[kept] = np.einsum("ij,ij->i", diffs, diffs)
+        order = np.argsort(padded, axis=1, kind="stable")[:, :k]
+        nearest[tied] = cols[starts[tied, None] + order]
     return nearest.reshape(vectors.shape[:-2] + (n_queries, k))
 
 
@@ -429,7 +448,8 @@ _LIBRARY_CELLS = 1 << 17
 # Each library block is scored in blocks of genomes whose k-NN and AUC work
 # arrays hold at most about this many float64 values (2 MiB): per genome
 # its AUC distance matrix, the k-NN's (queries x S) distances and the rows
-# it scores from differences (k shortlisted rows per query, times dim).
+# it re-scores from differences (k shortlisted rows per query, times dim,
+# when every query has a near tie; most have none).
 # The AUC matrix also sizes _lost_pairs' 4-byte keys and tie marks, as
 # many bytes again (at most 2 MiB), which the evaluator keeps from block
 # to block. Bigger blocks save per-call overhead while they fit the cache;
@@ -540,18 +560,17 @@ class FitnessEvaluator:
         block, and counts a row again from its float64 distances wherever
         float32 ties a same-class with an other-class entry. So each row's
         count, and each AUC, has the same bits in any batch. Each AUC's
-        last step is a dot product of the genome's own row of lost pairs,
+        last step is one dot product of the genome's own row of lost pairs
+        (``np.vecdot`` takes one per row, as ``row @ weights`` does alone),
         which a matrix-vector product could sum in another order.
         """
         dists[(..., *self._self_cells)] = np.inf
         if self._auc_work.size < 2 * dists.size:
             self._auc_work = np.empty(2 * dists.size, dtype=np.uint32)
         lost = _lost_pairs(dists, self._same_bit, self._same_before, self._auc_work)
-        aucs = [
-            1.0 - float(row @ self._lost_weights) if row.size else 0.0  # no query: 0
-            for row in np.atleast_2d(lost)
-        ]
-        return aucs if dists.ndim == 3 else aucs[0]
+        if not lost.shape[-1]:  # no query: 0
+            return np.zeros(lost.shape[:-1]).tolist()
+        return (1.0 - np.vecdot(lost.astype(np.float64), self._lost_weights)).tolist()
 
     def _digest(self, genome: np.ndarray) -> bytes:
         return hashlib.blake2b(genome.tobytes(), digest_size=16).digest()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evops.dataset import SlideRecord, build_layout, slide_mean_all
 from evops.fitness import (
@@ -363,6 +365,57 @@ def test_shortlist_rescores_rows_the_expansion_misorders():
     assert nearest_rows(queries, rows, 3).tolist() == expected.tolist()
 
 
+def brute_force_nearest(queries, vectors, k):
+    """Every row's squared distance from explicit differences, over the
+    whole library, stably sorted: ties go to the lower row."""
+    diffs = vectors[..., None, :, :] - queries[:, None, :]
+    exact = np.einsum("...qnd,...qnd->...qn", diffs, diffs)
+    return np.argsort(exact, axis=-1, kind="stable")[..., :k]
+
+
+@st.composite
+def knn_cases(draw):
+    """(queries, (N, n, dim) libraries, k, approx or None) on integer grids,
+    so that every exact distance is an exact integer in any summation order.
+
+    Each library holds interleaved duplicates of a few rows (tied cells) or
+    rows far apart (mostly clean cells), so a batch mixes both. A common
+    offset of 1e8 rounds the expanded distances more coarsely than their
+    gaps. ``approx`` is the expansion, or None, as the evaluator passes it:
+    the first rows of a taller query matrix's distances.
+    """
+    n, dim, n_queries = draw(st.integers(1, 30)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    libraries = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            levels = rng.integers(-3, 4, (draw(st.integers(1, 4)), dim))
+            libraries.append(levels[np.arange(n) % len(levels)])
+        else:
+            libraries.append(rng.integers(-1000, 1001, (n, dim)))
+    offset = draw(st.sampled_from([0.0, 1e8]))
+    vectors = np.stack(libraries) + offset
+    queries = rng.integers(-3, 4, (n_queries + 2, dim)) + offset
+    k = draw(st.integers(1, n + 2))
+    approx = None
+    if draw(st.booleans()):
+        approx = expanded_sq_distances(queries, vectors, np.einsum("ij,ij->i", queries, queries))
+        approx = approx[:, :n_queries]
+    return queries[:n_queries], vectors, k, approx
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(knn_cases())
+def test_nearest_rows_matches_brute_force(case):
+    queries, vectors, k, approx = case
+    expected = brute_force_nearest(queries, vectors, k).tolist()
+    assert nearest_rows(queries, vectors, k, approx).tolist() == expected
+    # One library alone, (n, dim), gives its own rows of the batch.
+    for i, library in enumerate(vectors):
+        alone = None if approx is None else approx[i]
+        assert nearest_rows(queries, library, k, alone).tolist() == expected[i]
+
+
 def _lost_pairs_cases(rng, n_libraries, n_rows, n_cols):
     """(N, Q, S) distances and the (Q, S) class bits they share. Each row
     draws from values distinct in float64 but equal in float32, exact ties,
@@ -458,6 +511,32 @@ def test_retrieval_auc_matches_straight_line_oracle():
         expected = straight_line_retrieval_auc(genome, layout, ds.train, ds.validation)
         assert abs(evaluator.retrieval_auc(genome) - expected) <= 1e-9
         assert abs(evaluator.evaluate(genome).violation - max(0.0, reference - expected)) <= 1e-9
+
+
+@pytest.mark.parametrize("labels", [("a", "b", "c"), ("a",)])
+def test_library_auc_batch_matches_the_per_row_dot(labels):
+    # Each AUC is 1 minus one genome's lost pairs dotted with the weights,
+    # bit for bit, in a batch as alone; with no query left (one label) it is 0.
+    rng = np.random.default_rng(21)
+    train = make_slides(rng, 40, 5, labels)
+    evals = make_slides(rng, 9, 5, labels, split="validation")
+    layout = build_layout(train)
+    evaluator = FitnessEvaluator(layout, evals, 3, constrained=True)
+    genomes = np.stack([random_covered_genome(rng, layout) for _ in range(17)])
+    queries = evaluator._retrieval_queries
+    dists = expanded_sq_distances(queries, aggregate_selected(genomes, layout).vectors,
+                                  evaluator._retrieval_norms)
+    aucs = evaluator._library_auc(dists.copy())
+    alone = [evaluator._library_auc(matrix) for matrix in dists.copy()]
+    dists[(..., *evaluator._self_cells)] = np.inf
+    lost = _lost_pairs64(np.maximum(dists, 0.0), evaluator._same_bit, evaluator._same_before)
+    if len(queries):
+        expected = [1.0 - float(row @ evaluator._lost_weights) for row in lost]
+    else:
+        expected = [0.0] * len(genomes)
+    assert [auc.hex() for auc in aucs] == [auc.hex() for auc in alone]
+    assert [auc.hex() for auc in aucs] == [auc.hex() for auc in expected]
+    assert all(type(auc) is float for auc in aucs + alone)
 
 
 def test_unconstrained_evaluator_reports_no_violation():
