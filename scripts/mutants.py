@@ -73,6 +73,14 @@ MUTANTS = [
     (EVOLUTION, "winner = a if a.crowding > b.crowding else b",
      "winner = a if a.crowding < b.crowding else b",
      "a tournament at equal rank prefers the larger crowding distance"),
+    (EVOLUTION, "population = select_survivors(population + offspring, config.population_size)",
+     "population = select_survivors(offspring + population, config.population_size)",
+     "survivor selection ranks the population before its offspring"),
+    (EVOLUTION, "winner = a if rng.integers(2) == 0 else b", "winner = b if rng.integers(2) == 0 else a",
+     "a tournament's coin flip of 0 picks its first draw"),
+    (EVOLUTION, "children = np.stack(pairs, axis=1).reshape(pool.shape)",
+     "children = np.concatenate(pairs)",
+     "children go in pair order, each pair's child_a before its child_b"),
     (EVOLUTION, "        if first < m - 1:\n"
                 "            rng.bit_generator.state = saved\n"
                 "            rng.random(out=draws[: first + 1])\n"

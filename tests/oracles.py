@@ -2,12 +2,22 @@
 
 Everything here is deliberately written with plain Python loops and dicts,
 sharing no code path with the package: masked means, full-sort k-NN,
-hand confusion-matrix F1, pairwise dominance-count front peeling,
-lexicographic survivor selection, and crossover and mutation one pair or
-genome at a time, in the order they draw from the generator.
+hand confusion-matrix F1, pairwise dominance-count front peeling (plain or
+constrained), crowding one objective at a time, lexicographic survivor
+selection, and crossover and mutation one pair or genome at a time, in the
+order they draw from the generator.
+
+``straight_line_run`` composes these into the whole generational loop:
+both initialisations, one tournament at a time, the pairwise operators,
+then fronts, crowding, survivors and one trace per generation. It takes
+the package's scorer and ``class_relevance``, whose bits the ranking must
+share, and the ``GenerationTrace`` record, and nothing else.
 """
 
+import math
 from collections import Counter
+
+import numpy as np
 
 
 def masked_mean(rows, mask):
@@ -93,13 +103,28 @@ def _dominates(a, b):
     return a[0] <= b[0] and a[1] <= b[1] and (a[0] < b[0] or a[1] < b[1])
 
 
-def brute_force_fronts(fitness_pairs):
-    """Front assignment by pairwise dominance table plus iterative peeling."""
+def constrained_dominates(a, b):
+    """Deb's constrained domination on (f1, f2, violation) triples.
+
+    The smaller violation dominates; at equal violation, plain domination
+    on (f1, f2) decides.
+    """
+    if a[2] != b[2]:
+        return a[2] < b[2]
+    return _dominates(a, b)
+
+
+def brute_force_fronts(fitness_pairs, dominates=_dominates):
+    """Front assignment by pairwise dominance table plus iterative peeling.
+
+    ``dominates`` defaults to plain domination on (f1, f2) pairs; pass
+    ``constrained_dominates`` for (f1, f2, violation) triples.
+    """
     n = len(fitness_pairs)
     dominators = [set() for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            if i != j and _dominates(fitness_pairs[j], fitness_pairs[i]):
+            if i != j and dominates(fitness_pairs[j], fitness_pairs[i]):
                 dominators[i].add(j)
     remaining = set(range(n))
     fronts = []
@@ -108,6 +133,29 @@ def brute_force_fronts(fitness_pairs):
         fronts.append(front)
         remaining -= set(front)
     return fronts
+
+
+def loop_crowding(points):
+    """Crowding distance of each (f1, f2) point of one front.
+
+    A front of one or two points is all infinite. Otherwise, one objective
+    after the other, the points are sorted by (value, index): both ends
+    become infinite, and when the objective's range is positive each point
+    between them adds the gap between its two neighbours over the range.
+    """
+    n = len(points)
+    if n <= 2:
+        return [math.inf] * n
+    dist = [0.0] * n
+    for m in range(2):
+        order = sorted(range(n), key=lambda i: (points[i][m], i))
+        dist[order[0]] = math.inf
+        dist[order[-1]] = math.inf
+        span = points[order[-1]][m] - points[order[0]][m]
+        if span > 0:
+            for t in range(1, n - 1):
+                dist[order[t]] += (points[order[t + 1]][m] - points[order[t - 1]][m]) / span
+    return dist
 
 
 def lexicographic_survivors(ranks, crowdings, population_size):
@@ -202,3 +250,104 @@ def pairwise_mutation(genome, layout, flip_p, rng):
         _, offset, length = layout.segments[seg]
         mutated[offset + rng.integers(0, length)] = True
     return mutated
+
+
+def _initial_genomes(layout, config, rng):
+    """Both initialisations, one genome and one draw at a time."""
+    total, n_slides = layout.total_patches, len(layout.segments)
+    genomes = []
+    if config.search == "guided":
+        from evops.evolution import class_relevance
+
+        relevance = class_relevance(layout)
+        genomes.append([True] * total)
+        for _ in range(config.population_size - 1):
+            keep = (n_slides + int(rng.integers(0, total - n_slides + 1))) / total
+            genome = [False] * total
+            for _, offset, length in layout.segments:
+                by_relevance = sorted(range(length), key=lambda r: (-relevance[offset + r], r))
+                for r in by_relevance[: max(1, math.ceil(keep * length))]:
+                    genome[offset + r] = True
+            genomes.append(genome)
+        return genomes
+    for _ in range(config.population_size):
+        genome = [False] * total
+        for _, offset, length in layout.segments:
+            genome[offset + int(rng.integers(0, length))] = True
+        extra = int(rng.integers(0, total - n_slides + 1))
+        if extra:
+            unset = [i for i in range(total) if not genome[i]]
+            for i in rng.permutation(unset)[:extra]:
+                genome[int(i)] = True
+        genomes.append(genome)
+    return genomes
+
+
+def _ranking(fitness):
+    """Every member's constrained front and its crowding within that front."""
+    triples = [(f.f1_fraction, f.f2_error, f.violation) for f in fitness]
+    ranks = [0] * len(fitness)
+    crowdings = [0.0] * len(fitness)
+    for rank, front in enumerate(brute_force_fronts(triples, constrained_dominates)):
+        for i, d in zip(front, loop_crowding([triples[i] for i in front])):
+            ranks[i] = rank
+            crowdings[i] = d
+    return ranks, crowdings
+
+
+def _loop_trace(generation, fitness, ranks):
+    from evops.evolution import GenerationTrace
+
+    feasible = [f for f in fitness if f.violation == 0.0] or fitness
+    f2 = [f.f2_error for f in feasible]
+    f1 = [f.f1_fraction for f in feasible]
+    return GenerationTrace(generation, min(f2), sum(f2) / len(f2), min(f1),
+                           sum(f1) / len(f1), ranks.count(0))
+
+
+def straight_line_run(dataset, config, score):
+    """The generational loop written out: (population, traces).
+
+    ``score(genome)`` gives one (P,) bool genome's ``FitnessPair``. The
+    population is a list of (genome as a list of bools, fitness) in its
+    final order; trace 0 describes the initial population. Each generation
+    holds N tournaments, one at a time: two uniform draws of a member,
+    the lower rank wins, then the larger crowding, then one
+    ``integers(2)`` (0 for the first draw). The pool's members 2i and
+    2i + 1 are crossed pair by pair, and the children, pair i's child_a
+    then child_b, are mutated one by one. The population followed by the
+    children are ranked together, and ``survivor_order`` picks the next
+    population, each survivor keeping its rank and crowding.
+    """
+    layout, size = dataset.layout, config.population_size
+    rng = np.random.default_rng(config.seed)
+    population = _initial_genomes(layout, config, rng)
+    fitness = [score(np.array(g, dtype=bool)) for g in population]
+    ranks, crowdings = _ranking(fitness)
+    traces = [_loop_trace(0, fitness, ranks)]
+    for generation in range(1, config.generations + 1):
+        pool = []
+        for _ in range(size):
+            i = int(rng.integers(0, size))
+            j = int(rng.integers(0, size))
+            if ranks[i] != ranks[j]:
+                winner = i if ranks[i] < ranks[j] else j
+            elif crowdings[i] != crowdings[j]:
+                winner = i if crowdings[i] > crowdings[j] else j
+            else:
+                winner = i if rng.integers(2) == 0 else j
+            pool.append(population[winner])
+        children = []
+        for a, b in zip(pool[0::2], pool[1::2]):
+            children += pairwise_crossover(a, b, layout, config.crossover_swap_p, rng)
+        children = [pairwise_mutation(c, layout, config.mutation_flip_p, rng) for c in children]
+        combined = population + children
+        combined_fitness = fitness + [score(np.array(c, dtype=bool)) for c in children]
+        all_ranks, all_crowdings = _ranking(combined_fitness)
+        order = survivor_order(all_ranks, all_crowdings, size)
+        population = [combined[i] for i in order]
+        fitness = [combined_fitness[i] for i in order]
+        ranks = [all_ranks[i] for i in order]
+        crowdings = [all_crowdings[i] for i in order]
+        traces.append(_loop_trace(generation, fitness, ranks))
+    return list(zip(population, fitness)), traces

@@ -32,6 +32,7 @@ from oracles import (
     lexicographic_survivors,
     pairwise_crossover,
     pairwise_mutation,
+    straight_line_run,
     survivor_order,
 )
 
@@ -432,6 +433,52 @@ def test_survivor_order_matches_straight_line_oracle():
         position = {id(ind): i for i, ind in enumerate(pop)}
         got = [position[id(ind)] for ind in select_survivors(pop, size)]
         assert got == survivor_order(ranks, crowdings, size)
+
+
+@st.composite
+def loop_cases(draw):
+    """A small cohort and a config for either search.
+
+    Coarse integer embeddings give equal distances, fitness and crowding,
+    so tournaments and survivor cuts meet ties.
+    """
+    from evops.dataset import SlideRecord, make_dataset
+
+    classes = [f"c{i}" for i in range(draw(st.integers(2, 3)))]
+    dim = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def slides(split, count, max_rows):
+        return [SlideRecord(f"{split}{i}", classes[int(rng.integers(len(classes)))], split,
+                            rng.integers(-2, 3, (int(rng.integers(1, max_rows + 1)), dim))
+                            .astype(np.float32))
+                for i in range(count)]
+
+    dataset = make_dataset(slides("train", draw(st.integers(2, 8)), 6),
+                           slides("validation", draw(st.integers(1, 4)), 3), [])
+    rate = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    config = EvolutionConfig(
+        population_size=2 * draw(st.integers(1, 6)), generations=draw(st.integers(0, 5)),
+        crossover_swap_p=draw(rate), mutation_flip_p=draw(rate),
+        k_neighbors=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**32 - 1)),
+        search=draw(st.sampled_from(["guided", "paper"])),
+    )
+    return dataset, config
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(loop_cases())
+def test_run_evolution_matches_the_straight_line_loop(case):
+    from evops.fitness import FitnessEvaluator
+
+    dataset, config = case
+    population, traces = run_evolution(dataset, config)
+    score = FitnessEvaluator(dataset.layout, dataset.validation, config.k_neighbors,
+                             classes=dataset.classes, constrained=config.search == "guided")
+    expected, expected_traces = straight_line_run(dataset, config, score.evaluate)
+    assert traces == expected_traces
+    assert [(ind.genome.tobytes(), ind.fitness) for ind in population] == [
+        (np.array(genome, dtype=bool).tobytes(), fitness) for genome, fitness in expected]
 
 
 def test_run_zero_generations_returns_initial():
