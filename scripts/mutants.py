@@ -65,21 +65,22 @@ MUTANTS = [
     (EVOLUTION, "rng = np.random.default_rng(config.seed)",
      'rng = np.random.default_rng(__import__("time").time_ns())',
      "a run is a function of (dataset, seed)"),
-    (EVOLUTION, "key=lambda i: (-combined[i].crowding, i))",
-     "key=lambda i: (-combined[i].crowding, -i))",
+    (EVOLUTION, "cut = np.lexsort((front, -dist))[:need]",
+     "cut = np.lexsort((-front, -dist))[:need]",
      "the survivor cut breaks crowding ties by lower index"),
     (EVOLUTION, "slide @ (means[rec.label] - centre)", "slide @ (centre - means[rec.label])",
      "relevance leans towards a patch's own class"),
-    (EVOLUTION, "winner = a if a.crowding > b.crowding else b",
-     "winner = a if a.crowding < b.crowding else b",
+    (EVOLUTION, "winner = a if crowding[a] > crowding[b] else b",
+     "winner = a if crowding[a] < crowding[b] else b",
      "a tournament at equal rank prefers the larger crowding distance"),
-    (EVOLUTION, "population = select_survivors(population + offspring, config.population_size)",
-     "population = select_survivors(offspring + population, config.population_size)",
+    (EVOLUTION, "np.concatenate([objectives, _objectives(evaluator.evaluate(genomes[n:]))])",
+     "np.concatenate([_objectives(evaluator.evaluate(genomes[n:])), objectives])\n"
+     "        genomes = np.concatenate([genomes[n:], genomes[:n]])",
      "survivor selection ranks the population before its offspring"),
-    (EVOLUTION, "winner = a if rng.integers(2) == 0 else b", "winner = b if rng.integers(2) == 0 else a",
+    (EVOLUTION, "winner = a if rng.integers(2) == 0 else b",
+     "winner = b if rng.integers(2) == 0 else a",
      "a tournament's coin flip of 0 picks its first draw"),
-    (EVOLUTION, "children = np.stack(pairs, axis=1).reshape(pool.shape)",
-     "children = np.concatenate(pairs)",
+    (EVOLUTION, "np.stack(pairs, axis=1).reshape(pool.shape)", "np.concatenate(pairs)",
      "children go in pair order, each pair's child_a before its child_b"),
     (EVOLUTION, "        if first < m - 1:\n"
                 "            rng.bit_generator.state = saved\n"

@@ -48,15 +48,13 @@ SEARCHES = ("guided", "paper")
 
 @dataclass(eq=False)
 class Individual:
-    """A candidate patch subset with lazily assigned fitness and rank info.
+    """A patch subset and, once scored, its fitness.
 
     Compared by identity: duplicates of a genome are distinct individuals.
     """
 
     genome: np.ndarray  # (P,) bool
     fitness: FitnessPair | None = None
-    rank: int | None = None
-    crowding: float | None = None
 
 
 @dataclass
@@ -289,40 +287,51 @@ def dominates(a: FitnessPair, b: FitnessPair) -> bool:
     )
 
 
-def _fronts(population):
-    """Yield ``fast_non_dominated_sort``'s fronts in order, ranking each as it is yielded."""
-    objs = np.array(
-        [(ind.fitness.f1_fraction, ind.fitness.f2_error, ind.fitness.violation)
-         for ind in population],
-        dtype=np.float64,
-    )
-    f1, f2, viol = objs[:, :1], objs[:, 1:2], objs[:, 2]
+def _objectives(fitness) -> np.ndarray:
+    """(N, 3) float64 rows of (f1_fraction, f2_error, violation), one per FitnessPair."""
+    return np.array([(fp.f1_fraction, fp.f2_error, fp.violation) for fp in fitness], dtype=float)
+
+
+def _fronts(objectives):
+    """Yield the index arrays of ``fast_non_dominated_sort``'s fronts of (N, 3) objectives."""
+    f1, f2, viol = objectives[:, :1], objectives[:, 1:2], objectives[:, 2]
     no_worse = (f1 <= f1.T) & (f2 <= f2.T)
     better = (f1 < f1.T) | (f2 < f2.T)
     tied = viol[:, None] == viol[None, :]
     dom = (viol[:, None] < viol[None, :]) | (tied & no_worse & better)  # i dominates j
     counts = dom.sum(axis=0).astype(np.int64)
 
-    rank = 0
     current = np.flatnonzero(counts == 0)
     while current.size:
-        front = current.tolist()
-        for i in front:
-            population[i].rank = rank
-        yield front
-        counts[current] = -(len(population) + 1)
+        yield current
+        counts[current] = -(len(objectives) + 1)
         counts -= dom[current].sum(axis=0)
         current = np.flatnonzero(counts == 0)
-        rank += 1
 
 
 def fast_non_dominated_sort(population) -> list[list[int]]:
-    """Partition indices into fronts under ``dominates`` and set each rank.
+    """Partition a list of ``Individual``s' indices into fronts under ``dominates``.
 
     Front 0 holds individuals dominated by none; front i holds those
     dominated only by members of earlier fronts.
     """
-    return list(_fronts(population))
+    return [front.tolist() for front in _fronts(_objectives(ind.fitness for ind in population))]
+
+
+def _crowding(objectives) -> np.ndarray:
+    """``crowding_distance`` of one front's (n, 3) objective rows, as an array."""
+    n = len(objectives)
+    if n <= 2:
+        return np.full(n, math.inf)
+    dist = np.zeros(n)
+    for m in range(2):  # the violation is no objective
+        order = np.argsort(objectives[:, m], kind="stable")
+        dist[order[0]] = math.inf
+        dist[order[-1]] = math.inf
+        span = objectives[order[-1], m] - objectives[order[0], m]
+        if span > 0:
+            dist[order[1:-1]] += (objectives[order[2:], m] - objectives[order[:-2], m]) / span
+    return dist
 
 
 def crowding_distance(front_fitness) -> list[float]:
@@ -332,85 +341,67 @@ def crowding_distance(front_fitness) -> list[float]:
     interior solutions accumulate the normalized gap between neighbors.
     An objective with zero range contributes nothing.
     """
-    n = len(front_fitness)
-    if n <= 2:
-        return [math.inf] * n
-    objs = np.array([fp.astuple() for fp in front_fitness], dtype=np.float64)
-    dist = np.zeros(n)
-    for m in range(objs.shape[1]):
-        order = np.argsort(objs[:, m], kind="stable")
-        dist[order[0]] = math.inf
-        dist[order[-1]] = math.inf
-        span = objs[order[-1], m] - objs[order[0], m]
-        if span > 0:
-            dist[order[1:-1]] += (objs[order[2:], m] - objs[order[:-2], m]) / span
-    return dist.tolist()
+    return _crowding(_objectives(front_fitness)).tolist()
 
 
-def _assign_crowding(population, front) -> None:
-    dists = crowding_distance([population[i].fitness for i in front])
-    for i, d in zip(front, dists):
-        population[i].crowding = d
+def select_parents(rank, crowding, rng) -> list[int]:
+    """Binary tournaments on (rank, crowding): one winner's index per member.
 
-
-def rank_population(population) -> list[list[int]]:
-    """Sort into fronts and assign rank plus within-front crowding."""
-    fronts = fast_non_dominated_sort(population)
-    for front in fronts:
-        _assign_crowding(population, front)
-    return fronts
-
-
-def select_parents(population, rng) -> list[Individual]:
-    """Binary tournaments on (rank, crowding); pool size equals population size."""
-    pool = []
-    n = len(population)
+    A tournament draws two members; the lower rank wins, then the larger
+    crowding, then a coin flip, whose 0 picks the first draw.
+    """
+    rank, crowding = rank.tolist(), crowding.tolist()
+    winners = []
+    n = len(rank)
     for _ in range(n):
-        i, j = rng.integers(0, n, size=2)
-        a, b = population[i], population[j]
-        if a.rank != b.rank:
-            winner = a if a.rank < b.rank else b
-        elif a.crowding != b.crowding:
-            winner = a if a.crowding > b.crowding else b
+        a, b = rng.integers(0, n, size=2).tolist()
+        if rank[a] != rank[b]:
+            winner = a if rank[a] < rank[b] else b
+        elif crowding[a] != crowding[b]:
+            winner = a if crowding[a] > crowding[b] else b
         else:
             winner = a if rng.integers(2) == 0 else b
-        pool.append(winner)
-    return pool
+        winners.append(winner)
+    return winners
 
 
-def select_survivors(combined, population_size) -> list[Individual]:
+def select_survivors(objectives, population_size):
     """Elitist replacement: fill by whole fronts, truncate by crowding.
 
-    The overflowing front is cut by descending crowding distance computed
-    within that front, ties broken by lower index in the combined list.
-    Members of fronts after the cut are discarded unranked; every survivor
-    gets a fresh rank and crowding.
+    ``objectives`` holds the (N, 3) rows of the population and then its
+    offspring. Returns the survivors' indices in selection order, with
+    their rank and crowding arrays. Whole fronts go in index order; the
+    overflowing front, its crowding computed over the whole front, gives
+    its members by descending crowding, ties to the lower index. Fronts
+    after the cut are not ranked.
     """
-    survivors: list[Individual] = []
-    for front in _fronts(combined):
-        _assign_crowding(combined, front)
-        need = population_size - len(survivors)
+    keep, rank, crowding = [], [], []
+    for r, front in enumerate(_fronts(objectives)):
+        dist = _crowding(objectives[front])
+        need = population_size - len(keep)
         if len(front) > need:
-            front = sorted(front, key=lambda i: (-combined[i].crowding, i))
-        survivors.extend(combined[i] for i in front[:need])
-        if len(survivors) == population_size:
+            cut = np.lexsort((front, -dist))[:need]
+            front, dist = front[cut], dist[cut]
+        keep += front.tolist()
+        rank += [r] * len(front)
+        crowding += dist.tolist()
+        if len(keep) == population_size:
             break
-    return survivors
+    return np.array(keep), np.array(rank), np.array(crowding)
 
 
-def _trace(generation, population) -> GenerationTrace:
+def _trace(generation, objectives, rank) -> GenerationTrace:
     # The feasible members, or everyone when none is: survivor selection
     # keeps the best feasible f2, so best_f2_error never rises.
-    feasible = [ind for ind in population if ind.fitness.violation == 0.0] or population
-    f2 = [ind.fitness.f2_error for ind in feasible]
-    f1 = [ind.fitness.f1_fraction for ind in feasible]
+    feasible = objectives[objectives[:, 2] == 0.0]
+    f1, f2 = (feasible if len(feasible) else objectives)[:, :2].T.tolist()
     return GenerationTrace(
         generation=generation,
         best_f2_error=min(f2),
         mean_f2_error=sum(f2) / len(f2),
         min_f1_fraction=min(f1),
         mean_f1_fraction=sum(f1) / len(f1),
-        front0_size=sum(1 for ind in population if ind.rank == 0),
+        front0_size=int(np.count_nonzero(rank == 0)),
     )
 
 
@@ -419,11 +410,12 @@ def run_evolution(dataset: SplitDataset, config: EvolutionConfig, workers=1,
     """Evolve patch subsets against the validation split.
 
     ``config.search`` picks the published search or the guided one (see the
-    module docstring). Returns (final population, per-generation traces).
-    Trace 0 describes the evaluated initial population. ``on_generation``
-    receives each trace as it is produced. Deterministic in (dataset,
-    config.seed). ``workers`` has no effect; genomes are evaluated
-    serially, which beat a thread pool.
+    module docstring). Returns (final population, per-generation traces):
+    the population is a list of ``Individual``s in its final order. Trace 0
+    describes the evaluated initial population. ``on_generation`` receives
+    each trace as it is produced. Deterministic in (dataset, config.seed).
+    ``workers`` has no effect; genomes are evaluated serially, which beat a
+    thread pool.
     """
     config.validate()
     if not dataset.train:
@@ -439,30 +431,36 @@ def run_evolution(dataset: SplitDataset, config: EvolutionConfig, workers=1,
     )
     rng = np.random.default_rng(config.seed)
 
+    n = config.population_size
     relevance = class_relevance(layout) if guided else None
-    population = initialize_population(layout, config, rng, relevance)
-    pairs = evaluator.evaluate(np.stack([ind.genome for ind in population]))
-    for ind, pair in zip(population, pairs):
-        ind.fitness = pair
-    rank_population(population)
-    traces = [_trace(0, population)]
+    # Population rows, then offspring rows, as survivor selection reads them. A fresh
+    # (2N, P) array per generation raised glibc's mmap threshold and the peak RSS.
+    genomes = np.empty((2 * n, layout.total_patches), dtype=bool)
+    genomes[:n] = [ind.genome for ind in initialize_population(layout, config, rng, relevance)]
+    objectives = _objectives(evaluator.evaluate(genomes[:n]))
+    # Everyone survives; the ranking goes back into population order.
+    order, rank, crowding = select_survivors(objectives, n)
+    back = np.argsort(order)
+    rank, crowding = rank[back], crowding[back]
+    traces = [_trace(0, objectives, rank)]
     if on_generation:
         on_generation(traces[-1])
 
     for generation in range(1, config.generations + 1):
-        pool = np.stack([ind.genome for ind in select_parents(population, rng)])
+        pool = genomes[select_parents(rank, crowding, rng)]
         pairs = safe_uniform_crossover(pool[0::2], pool[1::2], layout, config.crossover_swap_p,
                                        rng)
         # Each pair's two children in turn, the order mutation draws them in.
-        children = np.stack(pairs, axis=1).reshape(pool.shape)
+        genomes[n:] = np.stack(pairs, axis=1).reshape(pool.shape)
         del pool, pairs  # freed before mutation allocates: a lower peak on wide genomes
-        children = safe_bitflip_mutation(children, layout, config.mutation_flip_p, rng)
-        pairs = evaluator.evaluate(children)
-        # Copied rows: a survivor's view would keep its generation's whole matrix alive.
-        offspring = [Individual(genome=g.copy(), fitness=pair) for g, pair in zip(children, pairs)]
-        population = select_survivors(population + offspring, config.population_size)
-        traces.append(_trace(generation, population))
+        genomes[n:] = safe_bitflip_mutation(genomes[n:], layout, config.mutation_flip_p, rng)
+        objectives = np.concatenate([objectives, _objectives(evaluator.evaluate(genomes[n:]))])
+        keep, rank, crowding = select_survivors(objectives, n)
+        genomes[:n], objectives = genomes[keep], objectives[keep]
+        traces.append(_trace(generation, objectives, rank))
         if on_generation:
             on_generation(traces[-1])
 
+    population = [Individual(genome, FitnessPair(*row))
+                  for genome, row in zip(genomes[:n], objectives.tolist())]
     return population, traces

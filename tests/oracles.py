@@ -19,6 +19,8 @@ from collections import Counter
 
 import numpy as np
 
+from evops.evolution import GenerationTrace, class_relevance
+
 
 def masked_mean(rows, mask):
     """Mean of the rows where mask is truthy, accumulated in python floats."""
@@ -257,8 +259,6 @@ def _initial_genomes(layout, config, rng):
     total, n_slides = layout.total_patches, len(layout.segments)
     genomes = []
     if config.search == "guided":
-        from evops.evolution import class_relevance
-
         relevance = class_relevance(layout)
         genomes.append([True] * total)
         for _ in range(config.population_size - 1):
@@ -283,8 +283,8 @@ def _initial_genomes(layout, config, rng):
     return genomes
 
 
-def _ranking(fitness):
-    """Every member's constrained front and its crowding within that front."""
+def loop_ranking(fitness):
+    """Every FitnessPair's constrained front and its crowding within that front."""
     triples = [(f.f1_fraction, f.f2_error, f.violation) for f in fitness]
     ranks = [0] * len(fitness)
     crowdings = [0.0] * len(fitness)
@@ -296,8 +296,6 @@ def _ranking(fitness):
 
 
 def _loop_trace(generation, fitness, ranks):
-    from evops.evolution import GenerationTrace
-
     feasible = [f for f in fitness if f.violation == 0.0] or fitness
     f2 = [f.f2_error for f in feasible]
     f1 = [f.f1_fraction for f in feasible]
@@ -323,7 +321,7 @@ def straight_line_run(dataset, config, score):
     rng = np.random.default_rng(config.seed)
     population = _initial_genomes(layout, config, rng)
     fitness = [score(np.array(g, dtype=bool)) for g in population]
-    ranks, crowdings = _ranking(fitness)
+    ranks, crowdings = loop_ranking(fitness)
     traces = [_loop_trace(0, fitness, ranks)]
     for generation in range(1, config.generations + 1):
         pool = []
@@ -343,7 +341,7 @@ def straight_line_run(dataset, config, score):
         children = [pairwise_mutation(c, layout, config.mutation_flip_p, rng) for c in children]
         combined = population + children
         combined_fitness = fitness + [score(np.array(c, dtype=bool)) for c in children]
-        all_ranks, all_crowdings = _ranking(combined_fitness)
+        all_ranks, all_crowdings = loop_ranking(combined_fitness)
         order = survivor_order(all_ranks, all_crowdings, size)
         population = [combined[i] for i in order]
         fitness = [combined_fitness[i] for i in order]

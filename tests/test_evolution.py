@@ -18,7 +18,6 @@ from evops.evolution import (
     dominates,
     fast_non_dominated_sort,
     initialize_population,
-    rank_population,
     run_evolution,
     safe_bitflip_mutation,
     safe_uniform_crossover,
@@ -29,7 +28,10 @@ from evops.fitness import FitnessPair
 from evops.synthgen import SynthConfig, generate
 from oracles import (
     brute_force_fronts,
+    constrained_dominates,
     lexicographic_survivors,
+    loop_crowding,
+    loop_ranking,
     pairwise_crossover,
     pairwise_mutation,
     straight_line_run,
@@ -60,6 +62,17 @@ def pop_from_pairs(pairs):
         Individual(genome=np.ones(1, dtype=bool), fitness=FitnessPair(*p))
         for p in pairs
     ]
+
+
+def objectives(pairs):
+    """The (N, 3) objective rows ``select_survivors`` takes, all feasible."""
+    return np.array([(f1, f2, 0.0) for f1, f2 in pairs])
+
+
+def ranking(pairs):
+    """The oracle's rank and crowding of every member, as arrays."""
+    ranks, crowdings = loop_ranking([FitnessPair(*p) for p in pairs])
+    return np.array(ranks), np.array(crowdings)
 
 
 PLANTED = SynthConfig(classes=3, train_slides_per_class=4,
@@ -270,14 +283,12 @@ def test_sort_mutually_nondominated():
     pop = pop_from_pairs([(0.1, 0.9), (0.5, 0.5), (0.9, 0.1)])
     fronts = fast_non_dominated_sort(pop)
     assert fronts == [[0, 1, 2]]
-    assert all(ind.rank == 0 for ind in pop)
 
 
 def test_sort_total_order_chain():
     pop = pop_from_pairs([(3, 3), (1, 1), (2, 2)])
     fronts = fast_non_dominated_sort(pop)
     assert fronts == [[1], [2], [0]]
-    assert [ind.rank for ind in pop] == [2, 0, 1]
 
 
 def test_sort_matches_brute_force_oracle():
@@ -303,6 +314,27 @@ def test_same_front_members_do_not_dominate():
                     assert not dominates(pop[i].fitness, pop[j].fitness)
 
 
+def test_sort_matches_constrained_oracle():
+    # coarse grids give duplicate points; violations add infeasible fronts
+    rng = np.random.default_rng(22)
+    for _ in range(30):
+        n = int(rng.integers(2, 60))
+        triples = [(float(a) / 4, float(b) / 4, float(v)) for a, b, v in zip(
+            rng.integers(0, 5, n), rng.integers(0, 5, n), rng.choice([0.0, 0.0, 0.1, 0.3], n))]
+        pop = pop_from_pairs(triples)
+        assert fast_non_dominated_sort(pop) == brute_force_fronts(triples, constrained_dominates)
+
+
+def test_crowding_matches_loop_oracle_bit_for_bit():
+    # coarse points repeat values and give zero ranges; fine ones give
+    # every gap its own rounding
+    rng = np.random.default_rng(23)
+    for trial in range(60):
+        n = int(rng.integers(1, 30))
+        points = (rng.integers(0, 5, (n, 2)) / 4 if trial % 2 else rng.random((n, 2))).tolist()
+        assert crowding_distance([FitnessPair(*p) for p in points]) == loop_crowding(points)
+
+
 def test_crowding_pair_all_infinite():
     dists = crowding_distance([FitnessPair(0.1, 0.9), FitnessPair(0.9, 0.1)])
     assert dists == [math.inf, math.inf]
@@ -326,23 +358,20 @@ def test_parent_selection_rank_dominates():
     # a rank-0 vs rank-3 tournament must always pick rank 0: with only two
     # distinct ranks in the population, the loser is only ever selected by
     # drawing it twice, so P(pick rank 0) = 3/4 exactly
-    pop = pop_from_pairs([(0.1, 0.1), (0.9, 0.9)])
-    rank_population(pop)
-    assert pop[0].rank == 0 and pop[1].rank == 1
+    rank, crowding = ranking([(0.1, 0.1), (0.9, 0.9)])
+    assert rank.tolist() == [0, 1]
     rng = np.random.default_rng(12)
     trials = 2000
-    wins = sum(1 for _ in range(trials) if select_parents(pop, rng)[0] is pop[0])
+    wins = sum(1 for _ in range(trials) if select_parents(rank, crowding, rng)[0] == 0)
     assert wins > trials * 0.65
 
 
 def test_parent_selection_crowding_tiebreak():
-    pop = pop_from_pairs([(0.1, 0.9), (0.9, 0.1)])
-    rank_population(pop)  # both rank 0
-    pop[0].crowding = math.inf
-    pop[1].crowding = 0.5
+    rank = np.array([0, 0])
+    crowding = np.array([math.inf, 0.5])
     rng = np.random.default_rng(13)
     trials = 2000
-    wins = sum(1 for _ in range(trials) if select_parents(pop, rng)[0] is pop[0])
+    wins = sum(1 for _ in range(trials) if select_parents(rank, crowding, rng)[0] == 0)
     # infinite crowding wins every mixed tournament: P = 3/4
     assert wins > trials * 0.65
 
@@ -350,34 +379,30 @@ def test_parent_selection_crowding_tiebreak():
 def test_parent_selection_frequency_monotone():
     # distinct (rank, crowding) lexicographic order => non-increasing win rate
     pairs = [(0.1, 0.2), (0.2, 0.1), (0.15, 0.25), (0.3, 0.3), (0.4, 0.4), (0.6, 0.6)]
-    pop = pop_from_pairs(pairs)
-    rank_population(pop)
-    order = sorted(range(len(pop)),
-                   key=lambda i: (pop[i].rank, -pop[i].crowding, i))
+    rank, crowding = ranking(pairs)
+    order = sorted(range(len(pairs)), key=lambda i: (rank[i], -crowding[i], i))
     rng = np.random.default_rng(14)
-    counts = {i: 0 for i in range(len(pop))}
+    counts = {i: 0 for i in range(len(pairs))}
     for _ in range(20):
-        for chosen in select_parents(pop, rng):
-            counts[pop.index(chosen)] += 1
+        for chosen in select_parents(rank, crowding, rng):
+            counts[chosen] += 1
     freqs = [counts[i] for i in order]
-    slack = 3 * math.sqrt(sum(counts.values()) / len(pop))
+    slack = 3 * math.sqrt(sum(counts.values()) / len(pairs))
     for a, b in zip(freqs, freqs[1:]):
         assert a >= b - slack
 
 
 def test_survivors_identity_when_exact_fit():
     pairs = [(0.1, 0.9), (0.5, 0.5), (0.9, 0.1), (0.95, 0.95)]
-    pop = pop_from_pairs(pairs)
-    survivors = select_survivors(pop, 4)
-    assert set(map(id, survivors)) == set(map(id, pop))
+    survivors, _, _ = select_survivors(objectives(pairs), 4)
+    assert sorted(survivors.tolist()) == [0, 1, 2, 3]
 
 
 def test_survivors_single_front_truncation():
     # 5 mutually non-dominated points, keep 3: boundary pair + widest interior
     pairs = [(0.0, 1.0), (0.2, 0.8), (0.5, 0.5), (0.8, 0.2), (1.0, 0.0)]
-    pop = pop_from_pairs(pairs)
-    survivors = select_survivors(pop, 3)
-    chosen = {tuple(ind.fitness.astuple()) for ind in survivors}
+    survivors, _, _ = select_survivors(objectives(pairs), 3)
+    chosen = {pairs[i] for i in survivors}
     assert (0.0, 1.0) in chosen and (1.0, 0.0) in chosen
     assert len(chosen) == 3
 
@@ -386,10 +411,8 @@ def test_survivors_equal_crowding_ties_prefer_lower_index():
     # evenly spaced colinear front: all interior crowding equal, so the
     # truncation must keep the lower-index interiors after the boundaries
     pairs = [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5), (0.75, 0.25), (1.0, 0.0)]
-    pop = pop_from_pairs(pairs)
-    survivors = select_survivors(pop, 4)
-    kept = sorted(pairs.index(ind.fitness.astuple()) for ind in survivors)
-    assert kept == [0, 1, 2, 4]
+    survivors, _, _ = select_survivors(objectives(pairs), 4)
+    assert sorted(survivors.tolist()) == [0, 1, 2, 4]
 
 
 def test_survivors_match_lexicographic_oracle():
@@ -397,21 +420,17 @@ def test_survivors_match_lexicographic_oracle():
     for _ in range(20):
         pairs = [(float(a), float(b))
                  for a, b in zip(rng.random(200), rng.random(200))]
-        pop = pop_from_pairs(pairs)
-        rank_population(pop)
-        ranks = [ind.rank for ind in pop]
-        crowdings = [ind.crowding for ind in pop]
-        survivors = select_survivors(pop, 100)
-        got = sorted(pop.index(ind) for ind in survivors)
-        assert got == lexicographic_survivors(ranks, crowdings, 100)
+        ranks, crowdings = ranking(pairs)
+        survivors, _, _ = select_survivors(objectives(pairs), 100)
+        assert sorted(survivors.tolist()) == lexicographic_survivors(ranks, crowdings, 100)
 
 
 def test_survivors_leave_fronts_after_the_cut_unranked():
     # a dominance chain: every front has one member, and three fill the survivors
-    pop = pop_from_pairs([(0.1 * i, 0.1 * i) for i in range(10)])
-    survivors = select_survivors(pop, 3)
-    assert survivors == pop[:3]
-    assert [ind.rank for ind in pop] == [0, 1, 2] + [None] * 7
+    survivors, rank, crowding = select_survivors(
+        objectives([(0.1 * i, 0.1 * i) for i in range(10)]), 3)
+    assert survivors.tolist() == [0, 1, 2]
+    assert rank.tolist() == [0, 1, 2] and crowding.tolist() == [math.inf] * 3
 
 
 def test_survivor_order_matches_straight_line_oracle():
@@ -425,14 +444,13 @@ def test_survivor_order_matches_straight_line_oracle():
             for a, b, v in zip(rng.integers(0, 5, n), rng.integers(0, 5, n),
                                rng.choice([0.0, 0.0, 0.1, 0.3], n))
         ]
-        pop = [Individual(genome=np.ones(1, dtype=bool), fitness=p) for p in pairs]
-        rank_population(pop)
-        ranks = [ind.rank for ind in pop]
-        crowdings = [ind.crowding for ind in pop]
+        ranks, crowdings = loop_ranking(pairs)
         size = int(rng.integers(1, n + 1))
-        position = {id(ind): i for i, ind in enumerate(pop)}
-        got = [position[id(ind)] for ind in select_survivors(pop, size)]
-        assert got == survivor_order(ranks, crowdings, size)
+        survivors, rank, crowding = select_survivors(
+            np.array([(p.f1_fraction, p.f2_error, p.violation) for p in pairs]), size)
+        assert survivors.tolist() == survivor_order(ranks, crowdings, size)
+        assert rank.tolist() == [ranks[i] for i in survivors]
+        assert crowding.tolist() == [crowdings[i] for i in survivors]
 
 
 @st.composite
