@@ -29,6 +29,8 @@ ROOT = Path(__file__).resolve().parent.parent
 FITNESS = "src/evops/fitness.py"
 EVOLUTION = "src/evops/evolution.py"
 CLI = "src/evops/cli.py"
+PARETO = "src/evops/pareto_report.py"
+DATASET = "src/evops/dataset.py"
 
 MUTANTS = [
     (FITNESS, "    vectors /= counts[..., None]\n", "    vectors /= counts[..., None] + 1\n",
@@ -38,6 +40,15 @@ MUTANTS = [
      "a distance tie goes to the lower row index (k-NN re-score)"),
     (FITNESS, "_RESCORE_MARGIN = 1e-9", "_RESCORE_MARGIN = 0.0",
      "the k-NN shortlist holds every row its expansion may misorder"),
+    (FITNESS, "margin = _RESCORE_MARGIN * (norms + np.maximum(kth, 0.0))",
+     "margin = _RESCORE_MARGIN * np.broadcast_to(norms, kth.shape)",
+     "the k-NN margin grows with the query's k-th distance"),
+    (FITNESS, "margin = _RESCORE_MARGIN * (norms + np.maximum(kth, 0.0))",
+     "margin = _RESCORE_MARGIN * np.maximum(kth, 0.0)",
+     "the k-NN margin grows with the query's |q|^2"),
+    (FITNESS, "functools.reduce(np.add, selected @ slices)",
+     "functools.reduce(np.add, (selected @ slices)[::-1])",
+     "a library adds a column's exact slices in slice order"),
     (FITNESS, "    if tied.size:\n", "    if False:\n",
      "a k-NN shortlist with a near tie is re-scored from exact differences"),
     (FITNESS, "tied = np.flatnonzero(near_tie | (counts > k))", "tied = np.flatnonzero(counts > k)",
@@ -58,7 +69,7 @@ MUTANTS = [
     (FITNESS, "f1_fraction=count / self.layout.total_patches,",
      "f1_fraction=count / (self.layout.total_patches + 1),",
      "the first objective is the fraction of training patches kept"),
-    (EVOLUTION, "dom = (viol[:, None] < viol[None, :])", "dom = (viol[:, None] > viol[None, :])",
+    (EVOLUTION, "return (viol[:, None] < viol[None, :])", "return (viol[:, None] > viol[None, :])",
      "a smaller violation dominates (constrained domination)"),
     (EVOLUTION, "        dist[order[0]] = math.inf\n", "        dist[order[0]] = 0.0\n",
      "crowding boundaries are at +inf"),
@@ -99,6 +110,34 @@ MUTANTS = [
      '    run.add_argument("--swap-p", dest="mutation_flip_p", type=float)\n'
      '    run.add_argument("--flip-p", dest="crossover_swap_p", type=float)\n',
      "each run flag sets the config field of its name"),
+    (CLI, '        write_confusion_csvs(out_dir, "baseline", baseline)\n'
+          '        write_json(out_dir / "baseline.json", baseline_scores(baseline))\n',
+     '        write_json(out_dir / "baseline.json", baseline_scores(baseline))\n'
+     '        write_confusion_csvs(out_dir, "baseline", baseline)\n',
+     "baseline --out writes baseline.json after its confusion CSVs"),
+    (CLI, '        (out_dir / "baseline.json").unlink(missing_ok=True)\n', "",
+     "baseline --out removes an earlier baseline.json before it writes"),
+    (PARETO, "(key(front[i]), -front[i].patch_count, -i)",
+     "(key(front[i]), front[i].patch_count, -i)",
+     "a best solution's tie goes to fewer patches"),
+    (PARETO, "(key(front[i]), -front[i].patch_count, -i)",
+     "(key(front[i]), -front[i].patch_count, i)",
+     "a best solution's tie at equal patches goes to the lower index"),
+    (PARETO, "    for i in fronts[0]:\n", "    for i in reversed(fronts[0]):\n",
+     "the front keeps the lowest-index individual of a duplicate fitness pair"),
+    (DATASET, '    try:\n'
+              '        with open(partial, "w", encoding="utf-8", newline="\\n") as fh:\n'
+              '            json.dump(value, fh, indent=indent)\n'
+              '            fh.write("\\n")\n'
+              '        os.replace(partial, path)\n'
+              '    finally:\n'
+              '        partial.unlink(missing_ok=True)\n',
+     '    with open(path, "w", encoding="utf-8", newline="\\n") as fh:\n'
+     '        json.dump(value, fh, indent=indent)\n'
+     '        fh.write("\\n")\n',
+     "a JSON file is replaced whole"),
+    (DATASET, "    manifest_path.unlink(missing_ok=True)\n", "",
+     "a dataset rewritten in place has no manifest until its files are written"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "_work", "__pycache__", ".pytest_cache", ".hypothesis",

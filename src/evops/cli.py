@@ -189,8 +189,10 @@ def cmd_baseline(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "baseline.json", baseline_scores(baseline))
+        # baseline.json goes last, so that it stands beside complete CSVs.
+        (out_dir / "baseline.json").unlink(missing_ok=True)
         write_confusion_csvs(out_dir, "baseline", baseline)
+        write_json(out_dir / "baseline.json", baseline_scores(baseline))
     return EXIT_OK
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
+import os
 import struct
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -258,11 +259,20 @@ def write_embedding_file(path, embeddings: np.ndarray) -> None:
 def write_json(path, value, indent=2) -> None:
     """Write ``value`` as UTF-8 JSON with ``\\n`` line ends and a final newline.
 
-    ``indent=None`` writes it on one line.
+    ``indent=None`` writes it on one line. The JSON goes to a hidden
+    ``.<name>.partial`` beside ``path``, which then replaces ``path`` whole:
+    a write that is interrupted leaves the earlier file or none, never part
+    of one, and removes its partial file.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(value, fh, indent=indent)
-        fh.write("\n")
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.partial")
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(value, fh, indent=indent)
+            fh.write("\n")
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def _manifest_path(path) -> Path:
@@ -364,6 +374,10 @@ def write_dataset(dataset: SplitDataset, out_dir) -> Path:
             raise ValidationError(f"slide '{rec.slide_id}': slide_id is not a file name")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = out_dir / "manifest.json"
+    # Removed first and written last: a write interrupted on the way leaves
+    # no manifest to name files that another cohort's may have replaced.
+    manifest_path.unlink(missing_ok=True)
     entries = []
     for rec in dataset.slides:
         filename = f"{rec.slide_id}.emb"
@@ -382,7 +396,6 @@ def write_dataset(dataset: SplitDataset, out_dir) -> Path:
         "normalization": dataset.normalization,
         "slides": entries,
     }
-    manifest_path = out_dir / "manifest.json"
     write_json(manifest_path, manifest)
     # A rerun into the same directory must not leave an earlier cohort's
     # embedding files beside a manifest that no longer names them.

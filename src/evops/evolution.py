@@ -272,19 +272,8 @@ def safe_bitflip_mutation(genome, layout, flip_p, rng):
 
 
 def dominates(a: FitnessPair, b: FitnessPair) -> bool:
-    """Constrained domination (Deb et al. 2002).
-
-    A smaller violation dominates outright (so a feasible genome dominates
-    every infeasible one); at equal violation, a dominates b iff it is no
-    worse in both objectives and strictly better in one.
-    """
-    if a.violation != b.violation:
-        return a.violation < b.violation
-    return (
-        a.f1_fraction <= b.f1_fraction
-        and a.f2_error <= b.f2_error
-        and (a.f1_fraction < b.f1_fraction or a.f2_error < b.f2_error)
-    )
+    """Whether ``a`` dominates ``b``: cell [0, 1] of the pair's ``_dominance``."""
+    return bool(_dominance(_objectives([a, b]))[0, 1])
 
 
 def _objectives(fitness) -> np.ndarray:
@@ -292,13 +281,24 @@ def _objectives(fitness) -> np.ndarray:
     return np.array([(fp.f1_fraction, fp.f2_error, fp.violation) for fp in fitness], dtype=float)
 
 
-def _fronts(objectives):
-    """Yield the index arrays of ``fast_non_dominated_sort``'s fronts of (N, 3) objectives."""
+def _dominance(objectives) -> np.ndarray:
+    """(N, N) constrained domination (Deb et al. 2002) of (N, 3) objectives.
+
+    Cell [i, j] is set when i dominates j. A smaller violation dominates
+    outright (so a feasible genome dominates every infeasible one); at
+    equal violation, i dominates j iff it is no worse in both objectives
+    and strictly better in one.
+    """
     f1, f2, viol = objectives[:, :1], objectives[:, 1:2], objectives[:, 2]
     no_worse = (f1 <= f1.T) & (f2 <= f2.T)
     better = (f1 < f1.T) | (f2 < f2.T)
     tied = viol[:, None] == viol[None, :]
-    dom = (viol[:, None] < viol[None, :]) | (tied & no_worse & better)  # i dominates j
+    return (viol[:, None] < viol[None, :]) | (tied & no_worse & better)
+
+
+def _fronts(objectives):
+    """Yield the index arrays of ``fast_non_dominated_sort``'s fronts of (N, 3) objectives."""
+    dom = _dominance(objectives)
     counts = dom.sum(axis=0).astype(np.int64)
 
     current = np.flatnonzero(counts == 0)

@@ -151,12 +151,6 @@ def aggregate_selected(genome, layout) -> ReferenceLibrary:
     )
 
 
-def _row_norms(vectors) -> np.ndarray:
-    """|v|^2 of every row along the last axis, one row at a time."""
-    flat = vectors.reshape(-1, vectors.shape[-1])
-    return np.einsum("ij,ij->i", flat, flat).reshape(vectors.shape[:-1])
-
-
 def expanded_sq_distances(queries, vectors, query_norms) -> np.ndarray:
     """(Q, n) squared Euclidean distances as |q|^2 - 2 q.v + |v|^2.
 
@@ -170,16 +164,19 @@ def expanded_sq_distances(queries, vectors, query_norms) -> np.ndarray:
     batch. One matrix product, so fast; but rounding may split a tie
     between two equidistant rows, which the difference form would keep.
     """
+    flat = vectors.reshape(-1, vectors.shape[-1])  # each row's |v|^2, one row at a time
     dists = (-2.0 * queries) @ vectors.swapaxes(-1, -2)
     dists += query_norms[:, None]
-    dists += _row_norms(vectors)[..., None, :]
+    dists += np.einsum("ij,ij->i", flat, flat).reshape(vectors.shape[:-1])[..., None, :]
     return dists
 
 
-# Two expanded distances of a query within this share of |q|^2 + max |v|^2
-# of each other are a near tie, and so is a row this near the k-th
-# smallest: a query that meets one is re-scored exactly. The expansion's
-# rounding error is about dim * 1e-16 of the same scale, far inside it.
+# Two expanded distances of a query within this share of |q|^2 + d_k of
+# each other are a near tie, and so is a row this near d_k, the query's
+# k-th smallest expanded distance (at least 0): a query that meets one is
+# re-scored exactly. A row within the margin of d_k has |v|^2 <= 2|q|^2 +
+# 2(d_k + margin), so its rounding error, about dim * 1e-16 * (|q|^2 +
+# |v|^2), stays far inside the margin; a row far from d_k cannot cross it.
 _RESCORE_MARGIN = 1e-9
 
 
@@ -189,11 +186,13 @@ def nearest_rows(queries, vectors, k, approx=None) -> np.ndarray:
     ``vectors`` is (n, dim), or (N, n, dim) for a batch of N genomes,
     giving (N, Q, min(k, n)). Ordered by squared distance computed from
     explicit differences, ties to the lower row index. A query's shortlist
-    is the rows within ``_RESCORE_MARGIN`` of its k-th expanded distance
-    (``expanded_sq_distances``). A shortlist of exactly k rows, no two
-    within the margin of each other, is ordered by its expanded distances:
-    their rounding is far inside the margin, so exact differences would
-    order it the same. Any other shortlist is re-scored from differences.
+    is the rows within a margin of its k-th expanded distance d_k
+    (``expanded_sq_distances``), the margin being ``_RESCORE_MARGIN``
+    times |q|^2 + max(d_k, 0); so only the distances and the re-scored rows
+    are read. A shortlist of exactly k rows, no two within the margin of
+    each other, is ordered by its expanded distances: their rounding is far
+    inside the margin, so exact differences would order it the same. Any
+    other shortlist is re-scored from differences.
     ``approx`` may pass the expanded distances, shaped as the result; any
     rounding of them well inside the margin gives the same rows.
     """
@@ -206,7 +205,7 @@ def nearest_rows(queries, vectors, k, approx=None) -> np.ndarray:
         approx = expanded_sq_distances(queries, batch, norms)
     approx = approx.reshape(len(batch), n_queries, n)
     kth = np.partition(approx, k - 1, axis=-1)[..., k - 1]
-    margin = _RESCORE_MARGIN * (norms + _row_norms(batch).max(axis=-1)[:, None])
+    margin = _RESCORE_MARGIN * (norms + np.maximum(kth, 0.0))
     near = approx <= (kth + margin)[..., None]
     # Shortlisted rows in (genome, query, row) order; a cell is one (genome, query).
     flat = np.flatnonzero(near)

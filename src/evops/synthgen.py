@@ -112,9 +112,10 @@ def generate(config: SynthConfig, out_dir=None) -> SplitDataset:
 
     dataset = make_dataset(slides["train"], slides["validation"], slides["test"])
     if out_dir is not None:
+        truth = Path(out_dir) / "ground_truth.json"
+        truth.unlink(missing_ok=True)  # an earlier cohort's must not outlive its manifest
         write_dataset(dataset, out_dir)
-        write_json(Path(out_dir) / "ground_truth.json",
-                   ground_truth_indices(dataset, config.informative_fraction))
+        write_json(truth, ground_truth_indices(dataset, config.informative_fraction))
     return dataset
 
 

@@ -318,3 +318,14 @@ def test_columns_with_non_finite_values_are_not_split():
     assert layout.column_slices[0][0].tolist() == [0]  # 1 + 2**-60 rounds
     mean = aggregate_selected(np.ones(2, dtype=bool), layout).vectors[0]
     assert mean[0] == 0.5 and mean[1] == np.inf and np.isnan(mean[2])
+
+
+def test_a_split_column_adds_its_slices_in_slice_order():
+    # The column splits into the slices 2**54, 2 and 2**-51. In slice order
+    # 2**54 + 2 ties to even, at 2**54, and 2**-51 is then lost; in reverse
+    # order 2 + 2**-51 lifts 2**54 to 2**54 + 4.
+    values = np.array([[2.0**54], [2.0], [2.0**-51]], dtype=np.float32)
+    layout = build_layout([SlideRecord("train0", "a", "train", values)])
+    assert len(layout.column_slices[0][1]) == 3
+    mean = aggregate_selected(np.ones(3, dtype=bool), layout).vectors[0, 0]
+    assert mean == 2.0**54 / 3

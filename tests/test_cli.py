@@ -382,6 +382,56 @@ def test_a_rerun_killed_mid_export_keeps_the_earlier_seed_directory(small_ds, tm
     assert _tree_bytes(tmp_path / "seed_1") != before
 
 
+def test_a_run_interrupted_in_the_aggregate_leaves_no_aggregate(small_ds, tmp_path,
+                                                                 monkeypatch):
+    dump = json.dump
+
+    def interrupted_in_the_aggregate(value, fh, **kwargs):
+        if "runs" in value:  # the aggregate, written after every seed
+            fh.write('{"runs": ')
+            raise KeyboardInterrupt
+        return dump(value, fh, **kwargs)
+
+    monkeypatch.setattr(json, "dump", interrupted_in_the_aggregate)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli("run", "--dataset", small_ds, "--out", tmp_path, "--pop-size", "4",
+                "--generations", "1", "--seeds", "1")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["seed_1"]
+
+
+def test_an_interrupted_baseline_leaves_no_baseline_json(small_ds, tmp_path, monkeypatch):
+    assert run_cli("baseline", "--dataset", small_ds, "--out", tmp_path) == 0
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "write_confusion_csvs", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli("baseline", "--dataset", small_ds, "--out", tmp_path)
+    assert not (tmp_path / "baseline.json").exists()
+
+
+def test_an_interrupted_gen_synth_leaves_no_manifest(tmp_path, monkeypatch):
+    out = tmp_path / "cohort"
+    assert run_cli("gen-synth", "--out", out, "--seed", "7") == 0
+    write = dataset_mod.write_embedding_file
+    written = []
+
+    def interrupted_after_four(path, embeddings):
+        if len(written) == 4:
+            raise KeyboardInterrupt
+        written.append(path)
+        write(path, embeddings)
+
+    monkeypatch.setattr(dataset_mod, "write_embedding_file", interrupted_after_four)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli("gen-synth", "--out", out, "--seed", "8")
+    # The earlier cohort's manifest would name files of two cohorts.
+    assert not (out / "manifest.json").exists()
+    assert not (out / "ground_truth.json").exists()
+    assert len(written) == 4
+
+
 def test_parse_seeds_rejects_negative_entries():
     for text in ("-1", "1,-1", "-2..1"):
         with pytest.raises(ConfigError, match=">= 0"):

@@ -18,6 +18,7 @@ from evops.dataset import (
     slide_mean_all,
     write_dataset,
     write_embedding_file,
+    write_json,
 )
 from evops.synthgen import SynthConfig, generate
 
@@ -336,3 +337,16 @@ def test_write_embedding_file_rejects_a_1d_array(tmp_path):
     with pytest.raises(ValueError, match="2-D"):
         write_embedding_file(tmp_path / "x.emb", np.zeros(4, dtype=np.float32))
     assert not (tmp_path / "x.emb").exists()
+
+
+def test_write_json_replaces_the_file_whole(tmp_path):
+    path = tmp_path / "a.json"
+    write_json(path, {"x": 1})
+    with pytest.raises(TypeError):  # after json.dump has streamed '{"x": '
+        write_json(path, {"x": object()})
+    assert path.read_text() == '{\n  "x": 1\n}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+    # Its mode follows the umask, as that of a file opened for writing does.
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    assert path.stat().st_mode == plain.stat().st_mode

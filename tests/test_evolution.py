@@ -279,6 +279,13 @@ def test_dominates_cases():
     assert dominates(FitnessPair(0.1, 0.2), FitnessPair(0.1, 0.3))
 
 
+def test_dominates_compares_the_violation_first():
+    assert dominates(FitnessPair(0.9, 0.9, 0.0), FitnessPair(0.1, 0.1, 0.2))
+    assert not dominates(FitnessPair(0.1, 0.1, 0.2), FitnessPair(0.9, 0.9, 0.0))
+    assert dominates(FitnessPair(0.1, 0.2, 0.3), FitnessPair(0.2, 0.3, 0.3))
+    assert not dominates(FitnessPair(0.1, 0.3, 0.3), FitnessPair(0.2, 0.2, 0.3))
+
+
 def test_sort_mutually_nondominated():
     pop = pop_from_pairs([(0.1, 0.9), (0.5, 0.5), (0.9, 0.1)])
     fronts = fast_non_dominated_sort(pop)

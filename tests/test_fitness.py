@@ -355,6 +355,8 @@ def test_knn_keeps_interleaved_ties_in_row_order():
 def test_shortlist_rescores_rows_the_expansion_misorders():
     # A common norm of 1e16 rounds the expanded distances to multiples of
     # about 2, far coarser than the gaps of 0-9 between the exact ones.
+    # The k-th distance is at most 9 here: the margin's |q|^2 term keeps
+    # these rows on the shortlist.
     rng = np.random.default_rng(40)
     rows = np.column_stack([np.full(200, 1e8), rng.uniform(0.0, 3.0, 200)])
     queries = np.column_stack([np.full(100, 1e8), rng.uniform(0.0, 3.0, 100)])
@@ -365,24 +367,46 @@ def test_shortlist_rescores_rows_the_expansion_misorders():
     assert nearest_rows(queries, rows, 3).tolist() == expected.tolist()
 
 
+def test_rescore_margin_scales_with_the_kth_distance():
+    # Queries near the origin and rows 1e8 away: the expanded distances
+    # round at about 2 (|v|^2 is 1e16), yet |q|^2 is at most 27, so only
+    # the margin's d_k term keeps the rows they misorder on the shortlist.
+    rng = np.random.default_rng(0)
+    rows = np.column_stack([np.full(300, 1e8), rng.uniform(0.0, 100.0, (300, 2))])
+    queries = rng.uniform(0.0, 3.0, (200, 3))
+    expected = brute_force_nearest(queries, rows, 3)
+    approx = expanded_sq_distances(queries, rows, (queries**2).sum(axis=1))
+    assert (np.argsort(approx, axis=1, kind="stable")[:, :3] != expected).any()
+    assert nearest_rows(queries, rows, 3).tolist() == expected.tolist()
+
+
 def brute_force_nearest(queries, vectors, k):
     """Every row's squared distance from explicit differences, over the
-    whole library, stably sorted: ties go to the lower row."""
+    whole library, stably sorted: ties go to the lower row. Each distance
+    is one row's dot product with itself, as ``nearest_rows`` takes it, so
+    it has the same bits where it rounds."""
     diffs = vectors[..., None, :, :] - queries[:, None, :]
-    exact = np.einsum("...qnd,...qnd->...qn", diffs, diffs)
+    flat = diffs.reshape(-1, diffs.shape[-1])
+    exact = np.einsum("ij,ij->i", flat, flat).reshape(diffs.shape[:-1])
     return np.argsort(exact, axis=-1, kind="stable")[..., :k]
+
+
+OFFSETS = [0.0, 1e4, 1e8]
 
 
 @st.composite
 def knn_cases(draw):
-    """(queries, (N, n, dim) libraries, k, approx or None) on integer grids,
-    so that every exact distance is an exact integer in any summation order.
+    """(queries, (N, n, dim) libraries, k, approx or None) on integer grids.
 
     Each library holds interleaved duplicates of a few rows (tied cells) or
-    rows far apart (mostly clean cells), so a batch mixes both. A common
+    rows far apart (mostly clean cells), so a batch mixes both. The queries
+    and each library draw their own offset from ``OFFSETS``: a common
     offset of 1e8 rounds the expanded distances more coarsely than their
-    gaps. ``approx`` is the expansion, or None, as the evaluator passes it:
-    the first rows of a taller query matrix's distances.
+    gaps, and offsets that differ make |q|^2 small beside |v|^2, or large
+    beside the k-th distance. Some libraries hold one row 1e8 away, which
+    makes its |v|^2 far larger than any near row's. ``approx`` is the
+    expansion, or None, as the evaluator passes it: the first rows of a
+    taller query matrix's distances.
     """
     n, dim, n_queries = draw(st.integers(1, 30)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -390,12 +414,14 @@ def knn_cases(draw):
     for _ in range(draw(st.integers(1, 3))):
         if draw(st.booleans()):
             levels = rng.integers(-3, 4, (draw(st.integers(1, 4)), dim))
-            libraries.append(levels[np.arange(n) % len(levels)])
+            library = levels[np.arange(n) % len(levels)] + draw(st.sampled_from(OFFSETS))
         else:
-            libraries.append(rng.integers(-1000, 1001, (n, dim)))
-    offset = draw(st.sampled_from([0.0, 1e8]))
-    vectors = np.stack(libraries) + offset
-    queries = rng.integers(-3, 4, (n_queries + 2, dim)) + offset
+            library = rng.integers(-1000, 1001, (n, dim)) + draw(st.sampled_from(OFFSETS))
+        if draw(st.booleans()):
+            library[rng.integers(n), rng.integers(dim)] += 1e8
+        libraries.append(library)
+    vectors = np.stack(libraries)
+    queries = rng.integers(-3, 4, (n_queries + 2, dim)) + draw(st.sampled_from(OFFSETS))
     k = draw(st.integers(1, n + 2))
     approx = None
     if draw(st.booleans()):

@@ -73,6 +73,14 @@ def test_extract_front_matches_dominance_oracle():
         assert fractions == sorted(fractions)
 
 
+def test_argbest_ties_go_to_fewer_patches_then_the_lower_index():
+    front = [FrontSolution(genome=None, patch_count=count, f1_fraction=0.0,
+                           validation_f1=f1, test_f1=0.0, validation_confusion=None,
+                           test_confusion=None, per_slide_counts={})
+             for count, f1 in [(5, 0.8), (4, 0.9), (3, 0.9), (3, 0.9)]]
+    assert pareto_report._argbest(front, lambda s: s.validation_f1) == 2
+
+
 def test_front_strict_tradeoff(planted_run):
     _, _, _, _, report = planted_run
     fracs = [s.f1_fraction for s in report.front]
