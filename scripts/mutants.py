@@ -138,6 +138,18 @@ MUTANTS = [
      "a JSON file is replaced whole"),
     (DATASET, "    manifest_path.unlink(missing_ok=True)\n", "",
      "a dataset rewritten in place has no manifest until its files are written"),
+    (DATASET, "            if size == expected:  # read no further than the header declares\n"
+              "                payload = fh.read(expected - len(head))\n",
+     "            if True:\n"
+     "                payload = fh.read()\n",
+     "a file is not read past the size its header declares"),
+    (FITNESS, "score = np.add.accumulate(terms, axis=-1)[..., -1]", "score = terms.sum(axis=-1)",
+     "the weighted F1 adds its classes in order"),
+    (PARETO, 'if field.name != "seed" and value != expected:',
+     'if field.name not in ("seed", "search") and value != expected:',
+     "runs aggregate only when every config field but the seed matches"),
+    (CLI, r'(stale or re.fullmatch(r"\.seed_\d+\.(partial|old)", path.name))', "stale",
+     "a run removes a killed run's hidden .seed_<n>.partial and .seed_<n>.old directories"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "_work", "__pycache__", ".pytest_cache", ".hypothesis",

@@ -19,6 +19,7 @@ import hashlib
 import json
 import numbers
 import os
+import stat
 import struct
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -220,28 +221,36 @@ def slide_mean_all(slide: SlideRecord) -> np.ndarray:
 
 
 def read_embedding_file(path) -> np.ndarray:
-    """Read one binary embedding file into a (rows, dim) float32 array."""
+    """Read one binary embedding file as a read-only (rows, dim) float32 array.
+
+    The file is read once, header first. Its size is checked against the
+    size the header declares before the payload is read, so an oversized
+    or endless file fails without being read, and a path that is not a
+    regular file is rejected before it is opened. The array views the
+    payload's bytes as read.
+    """
     path = Path(path)
     try:
-        data = path.read_bytes()
+        if not stat.S_ISREG(path.stat().st_mode):
+            raise EmbeddingFormatError(f"{path}: not a regular file")
+        with open(path, "rb") as fh:
+            head = fh.read(len(MAGIC) + HEADER.size)
+            if len(head) < len(MAGIC) + HEADER.size:
+                raise EmbeddingFormatError(f"{path}: file too short for magic and header")
+            if head[: len(MAGIC)] != MAGIC:
+                raise EmbeddingFormatError(f"{path}: bad magic {head[:len(MAGIC)]!r}")
+            rows, dim = HEADER.unpack_from(head, len(MAGIC))
+            expected = len(head) + rows * dim * 4
+            size = os.fstat(fh.fileno()).st_size
+            if size == expected:  # read no further than the header declares
+                payload = fh.read(expected - len(head))
+                size = len(head) + len(payload)
     except OSError as exc:
         raise EmbeddingFormatError(f"{path}: cannot read embedding file: {exc}") from exc
-    if len(data) < len(MAGIC) + HEADER.size:
-        raise EmbeddingFormatError(f"{path}: file too short for magic and header")
-    if data[: len(MAGIC)] != MAGIC:
-        raise EmbeddingFormatError(f"{path}: bad magic {data[:len(MAGIC)]!r}")
-    rows, dim = HEADER.unpack_from(data, len(MAGIC))
-    expected = len(MAGIC) + HEADER.size + rows * dim * 4
-    if len(data) < expected:
-        raise EmbeddingFormatError(
-            f"{path}: truncated payload ({len(data)} bytes, expected {expected})"
-        )
-    if len(data) > expected:
-        raise EmbeddingFormatError(
-            f"{path}: trailing bytes ({len(data)} bytes, expected {expected})"
-        )
-    values = np.frombuffer(data, dtype="<f4", offset=len(MAGIC) + HEADER.size)
-    return values.reshape(rows, dim).astype(np.float32)
+    if size != expected:
+        kind = "truncated payload" if size < expected else "trailing bytes"
+        raise EmbeddingFormatError(f"{path}: {kind} ({size} bytes, expected {expected})")
+    return np.frombuffer(payload, dtype="<f4").reshape(rows, dim)
 
 
 def write_embedding_file(path, embeddings: np.ndarray) -> None:
@@ -253,7 +262,7 @@ def write_embedding_file(path, embeddings: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(HEADER.pack(rows, dim))
-        fh.write(arr.tobytes())
+        fh.write(arr.data)
 
 
 def write_json(path, value, indent=2) -> None:
@@ -353,7 +362,6 @@ def load_dataset(manifest_path) -> SplitDataset:
                 f"{where}: embedding dim {embeddings.shape[1]} "
                 f"does not match dataset dim {dim}"
             )
-        embeddings.setflags(write=False)
         by_split[split].append(
             SlideRecord(slide_id=slide_id, label=label, split=split, embeddings=embeddings)
         )

@@ -1,6 +1,11 @@
 import json
+import os
+import struct
+import subprocess
+import sys
 import tracemalloc
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
@@ -340,6 +345,15 @@ def test_run_removes_earlier_seeds_and_aggregate(small_ds, tmp_path):
     assert json.loads((tmp_path / "aggregate.json").read_text())["seeds"] == [1]
 
 
+def test_run_removes_a_killed_runs_hidden_seed_directories(small_ds, tmp_path):
+    for name in (".seed_5.partial", ".seed_1.old"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "summary.json").write_text("{}")
+    assert run_cli("run", "--dataset", small_ds, "--out", tmp_path, "--pop-size", "4",
+                   "--generations", "1", "--seeds", "1") == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["aggregate.json", "seed_1"]
+
+
 def test_run_removes_old_aggregate_before_the_first_seed(small_ds, tmp_path, monkeypatch):
     base = ("run", "--dataset", small_ds, "--out", tmp_path, "--pop-size", "4",
             "--generations", "1")
@@ -646,3 +660,50 @@ def test_every_per_slide_load_error_names_the_slide(small_ds, tmp_path, capsys,
     assert run_cli("baseline", "--dataset", tmp_path) == 3
     err = capsys.readouterr().err
     assert named in err and detail in err
+
+
+# Run in a child whose address space is capped: a loader that reads a file
+# before checking its size raises MemoryError (exit 4) there, at once.
+LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from evops.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _sparse_4gib(path):
+    with open(path, "wb") as fh:
+        fh.write(b"EVOPSEMB" + struct.pack("<II", 1, 4))
+        fh.truncate(4 << 30)
+    return path
+
+
+def _declares_16gib(path):
+    path.write_bytes(b"EVOPSEMB" + struct.pack("<II", 1 << 16, 1 << 16))
+    return path
+
+
+def _fifo(path):
+    os.mkfifo(path)
+    return path
+
+
+@pytest.mark.parametrize("make, detail", [
+    (_sparse_4gib, "trailing bytes"),
+    (lambda path: "/dev/zero", "not a regular file"),
+    (_declares_16gib, "truncated payload"),
+    (_fifo, "not a regular file"),
+], ids=["sparse-4gib", "dev-zero", "declares-16gib", "fifo"])
+def test_a_file_is_not_read_past_its_declared_size(small_ds, tmp_path, make, detail):
+    manifest = json.loads((small_ds / "manifest.json").read_text())
+    entries = [dict(e, path=str(small_ds / e["path"])) for e in manifest["slides"]]
+    entries[1] = dict(entries[1], slide_id="probe", path=str(make(tmp_path / "probe.emb")))
+    manifest["slides"] = entries
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", LIMITED_CLI, "baseline", "--dataset",
+                           str(tmp_path)], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3, done.stderr
+    assert "slide 'probe'" in done.stderr and detail in done.stderr

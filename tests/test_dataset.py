@@ -92,6 +92,15 @@ def test_roundtrip_is_bit_exact(tmp_path):
     assert loaded.content_hash == ds.content_hash
 
 
+def test_a_loaded_slide_is_a_read_only_view_of_the_bytes_read(tmp_path):
+    generate(SynthConfig(seed=3), out_dir=tmp_path)
+    for rec in load_dataset(tmp_path).slides:
+        assert rec.embeddings.dtype == np.float32
+        assert not rec.embeddings.flags.owndata  # no copy of what was read
+        with pytest.raises(ValueError, match="read-only"):
+            rec.embeddings[0, 0] = 0.0
+
+
 @pytest.mark.parametrize("slide_id", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"])
 def test_write_dataset_rejects_an_id_that_is_not_a_file_name(tmp_path, slide_id):
     bad = make_slide(slide_id, "x", "test", 2, 3)

@@ -676,6 +676,21 @@ def test_batched_weighted_f1_matches_each_matrix_and_hand_oracle():
         assert abs(single - hand_weighted_f1(true, pred, classes)) <= 1e-12
 
 
+def test_weighted_f1_adds_twelve_classes_in_order():
+    # numpy's sum adds eight or more terms pairwise; at 12 classes that
+    # differs from the classes added in order on many of these matrices.
+    rng = np.random.default_rng(24)
+    classes = tuple(f"c{i:02d}" for i in range(12))
+    counts = rng.integers(0, 5, size=(300, 12, 12))
+    batched = weighted_f1_from_confusion(ConfusionMatrix(classes, counts))
+    for value, matrix in zip(batched, counts):
+        pairs = [(t, p) for (i, t) in enumerate(classes) for (j, p) in enumerate(classes)
+                 for _ in range(matrix[i, j])]
+        expected = hand_weighted_f1(*map(list, zip(*pairs)), classes)
+        assert weighted_f1_from_confusion(ConfusionMatrix(classes, matrix)) == expected
+        assert value == expected
+
+
 def test_batched_confusion_matrix_matches_each_row():
     rng = np.random.default_rng(23)
     classes = ["b", "a", "c"]  # not sorted: counts follow the list's order

@@ -1,13 +1,13 @@
 import csv
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from evops.dataset import build_layout
-from evops.evolution import EvolutionConfig, Individual, run_evolution
+from evops.evolution import SEARCHES, EvolutionConfig, Individual, run_evolution
 from evops.fitness import FitnessPair, evaluate_individual
 from evops import pareto_report
 from evops.pareto_report import (
@@ -214,11 +214,14 @@ def test_aggregate_rejects_mixed_datasets(planted_run):
         aggregate_runs([report, report_b])
 
 
-def test_aggregate_rejects_mixed_configs(planted_run):
+@pytest.mark.parametrize("name", [f.name for f in fields(EvolutionConfig) if f.name != "seed"])
+def test_aggregate_rejects_mixed_configs(planted_run, name):
     _, config, _, _, report = planted_run
-    config_b = replace(config, seed=config.seed + 1, k_neighbors=config.k_neighbors + 1)
+    value = getattr(config, name)
+    other = next(s for s in SEARCHES if s != value) if name == "search" else value + 1
+    config_b = replace(config, seed=config.seed + 1, **{name: other})
     report_b = replace(report, config=config_b)
-    with pytest.raises(ValueError, match="k_neighbors"):
+    with pytest.raises(ValueError, match=f"config field {name}:"):
         aggregate_runs([report, report_b])
 
 
