@@ -62,6 +62,12 @@ MUTANTS = [
      "a row with a float32 tie across classes is counted again in float64"),
     (FITNESS, "dists[(..., *self._self_cells)] = np.inf", "pass",
      "a training slide is left out of its own retrieval ranking"),
+    (FITNESS, "self._self_cells = (n_eval + np.arange(n_train), np.arange(n_train))",
+     "self._self_cells = (n_eval + np.arange(n_train), np.roll(np.arange(n_train), 1))",
+     "a training query's self cell is its own column"),
+    (FITNESS, "1.0 / (pairs[self._counted] * len(self._counted))",
+     "1.0 / (pairs[self._counted] * len(pairs))",
+     "a query without both kinds of library slide is left out of the AUC's mean"),
     (FITNESS, "    keys <<= np.uint64(1)\n    keys |= same_bit\n", "    keys -= same_bit\n",
      "a same-class entry wins a pair only when strictly nearer"),
     (FITNESS, "max(0.0, self.reference_auc - aucs[i])", "max(0.0, aucs[i] - self.reference_auc)",
@@ -123,6 +129,9 @@ MUTANTS = [
     (PARETO, "(key(front[i]), -front[i].patch_count, -i)",
      "(key(front[i]), -front[i].patch_count, i)",
      "a best solution's tie at equal patches goes to the lower index"),
+    (PARETO, "for label, counts in sorted(per_class.items())",
+     "for label, counts in per_class.items()",
+     "per-class patch counts are keyed in lexicographic class order"),
     (PARETO, "    for i in fronts[0]:\n", "    for i in reversed(fronts[0]):\n",
      "the front keeps the lowest-index individual of a duplicate fitness pair"),
     (DATASET, '    try:\n'
@@ -136,6 +145,9 @@ MUTANTS = [
      '        json.dump(value, fh, indent=indent)\n'
      '        fh.write("\\n")\n',
      "a JSON file is replaced whole"),
+    (DATASET, 'kind = {"int": numbers.Integral, "float": numbers.Real}.get(annotation)',
+     'kind = {"int": numbers.Integral}.get(annotation)',
+     "a float config field needs a real number, not a bool or a string"),
     (DATASET, "    manifest_path.unlink(missing_ok=True)\n", "",
      "a dataset rewritten in place has no manifest until its files are written"),
     (DATASET, "            if size == expected:  # read no further than the header declares\n"

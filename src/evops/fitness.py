@@ -80,7 +80,7 @@ class ReferenceLibrary:
     ``query_distances``, when set, holds the expanded squared distances
     (``expanded_sq_distances``) from the Q queries that ``knn_predict``
     will be given to every vector, (Q, S) or (N, Q, S); the k-NN then
-    shortlists from them instead of expanding again.
+    shortlists from them instead of expanding again; ``FitnessEvaluator`` always sets them.
     """
 
     vectors: np.ndarray  # (S, dim) or (N, S, dim) float64
@@ -473,6 +473,8 @@ class FitnessEvaluator:
     With ``constrained`` set, each genome is also scored by its retrieval
     AUC (``retrieval_auc``), and ``FitnessPair.violation`` is how far that
     falls below the AUC of the library that keeps every patch.
+    A scoring block's one distance product has a row per evaluation slide,
+    which the k-NN reads, then, if constrained, one per training slide.
     """
 
     def __init__(self, layout, eval_slides, k, classes=None, constrained=False):
@@ -487,7 +489,10 @@ class FitnessEvaluator:
                 | {rec.label for rec in self.eval_slides}
             )
         self.classes = tuple(classes)
-        self._queries = np.stack([slide_mean_all(rec) for rec in self.eval_slides])
+        # Slide means: every evaluation slide, then, for the AUC, every training slide.
+        queries = self.eval_slides + (layout.slides if constrained else ())
+        self._queries = np.stack([slide_mean_all(rec) for rec in queries])
+        self._query_norms = np.einsum("ij,ij->i", self._queries, self._queries)
         # Labels as class indices, encoded together so that equal labels
         # outside ``classes`` share an index; the k-NN votes in these.
         n_eval = len(self.eval_slides)
@@ -503,31 +508,23 @@ class FitnessEvaluator:
             self.reference_auc = self.retrieval_auc(np.ones(layout.total_patches, dtype=bool))
 
     def _setup_retrieval(self) -> None:
-        # Queries: every evaluation slide, then every training slide, each as
-        # the mean of all its patches. A training slide is left out of its
-        # own ranking: its distance is +inf, which sorts it last.
+        # Query row n_eval + i is training slide i, left out of its own
+        # ranking: its self cell, column i, is +inf, which sorts it last.
         n_eval, n_train = len(self.eval_slides), self.layout.n_slides
         codes = np.concatenate([self._truth, self._train_codes])
         same = codes[:, None] == codes[None, n_eval:]
-        same[n_eval + np.arange(n_train), np.arange(n_train)] = False  # the query slide itself
+        self._self_cells = (n_eval + np.arange(n_train), np.arange(n_train))
+        same[self._self_cells] = False
         n_same = same.sum(axis=1)
         n_other = n_train - 1 - n_same
         n_other[:n_eval] += 1
-        keep = n_same * n_other > 0  # queries with both kinds of library slide
-        queries = np.concatenate(
-            [self._queries, np.stack([slide_mean_all(rec) for rec in self.layout.slides])]
-        )[keep]
-        self._retrieval_queries = queries
-        self._retrieval_norms = np.einsum("ij,ij->i", queries, queries)
-        self._same_bit = same[keep].astype(np.uint32)
-        self._same_before = (n_same * (n_same - 1) // 2)[keep].astype(np.uint64)
-        left_out = np.flatnonzero(keep[n_eval:])  # training slides kept as queries
-        self._self_cells = (np.cumsum(keep)[n_eval + left_out] - 1, left_out)
-        # The AUC is 1 minus the mean over queries of lost / pairs.
-        self._lost_weights = 1.0 / ((n_same * n_other)[keep] * keep.sum())
-        # The k-NN queries are the first rows of the retrieval queries unless
-        # one was dropped.
-        self._shares_queries = bool(keep[:n_eval].all())
+        self._same_bit = same.astype(np.uint32)
+        self._same_before = (n_same * (n_same - 1) // 2).astype(np.uint64)
+        # The AUC is 1 minus the mean of lost / pairs over the counted
+        # queries, those with both kinds of library slide.
+        pairs = n_same * n_other
+        self._counted = np.flatnonzero(pairs)
+        self._lost_weights = 1.0 / (pairs[self._counted] * len(self._counted))
         # _lost_pairs' keys, kept across calls and grown to the largest block.
         self._auc_work = np.empty(0, dtype=np.uint32)
 
@@ -539,37 +536,37 @@ class FitnessEvaluator:
         the library is the genome's per-slide selected means. A query's AUC
         is the share of its (same-class, other-class) library pairs whose
         same-class member is strictly nearer. Queries without both kinds of
-        library slide are skipped; with none left the AUC is 0. Distances
-        use ``expanded_sq_distances``.
+        library slide are left out of the mean; with none counted the AUC
+        is 0. Distances use ``expanded_sq_distances``.
         """
         vectors = aggregate_selected(genome, self.layout).vectors
-        return self._library_auc(
-            expanded_sq_distances(self._retrieval_queries, vectors, self._retrieval_norms)
-        )
+        return self._library_auc(expanded_sq_distances(self._queries, vectors, self._query_norms))
 
     def _library_auc(self, dists):
-        """``retrieval_auc`` from the retrieval queries' expanded distances.
+        """``retrieval_auc`` from the block's expanded distances.
 
-        ``dists`` are one library's (Q, S) distances, giving a float, or a
-        batch's (N, Q, S), giving a list of N; their self cells are set to
-        +inf in place. Each genome's distances are
+        ``dists`` are one library's (Q, S) distances from every query row,
+        giving a float, or a batch's (N, Q, S), giving a list of N; their
+        self cells are set to +inf in place. Each genome's distances are
         one product of its own shape (see ``expanded_sq_distances``) and
-        are never re-scored. ``_lost_pairs`` ranks them on 32-bit keys, in
-        a work array that the evaluator keeps and grows to its largest
-        block, and counts a row again from its float64 distances wherever
-        float32 ties a same-class with an other-class entry. So each row's
-        count, and each AUC, has the same bits in any batch. Each AUC's
-        last step is one dot product of the genome's own row of lost pairs
-        (``np.vecdot`` takes one per row, as ``row @ weights`` does alone),
-        which a matrix-vector product could sum in another order.
+        are never re-scored. ``_lost_pairs`` ranks every row on 32-bit
+        keys, in a work array that the evaluator keeps and grows to its
+        largest block, and counts a row again from its float64 distances
+        wherever float32 ties a same-class with an other-class entry. So
+        each row's count, and each AUC, has the same bits in any batch.
+        Each AUC's last step is one dot product of the genome's counted rows
+        of lost pairs (``np.vecdot`` takes one per genome, as ``row @
+        weights`` does alone); a matrix-vector product could sum otherwise.
         """
         dists[(..., *self._self_cells)] = np.inf
         if self._auc_work.size < 2 * dists.size:
             self._auc_work = np.empty(2 * dists.size, dtype=np.uint32)
         lost = _lost_pairs(dists, self._same_bit, self._same_before, self._auc_work)
-        if not lost.shape[-1]:  # no query: 0
+        if not self._counted.size:  # no query counts: 0
             return np.zeros(lost.shape[:-1]).tolist()
-        return (1.0 - np.vecdot(lost.astype(np.float64), self._lost_weights)).tolist()
+        # np.take keeps C order (lost[..., idx] would not), so each row sums as it does alone.
+        counted = np.take(lost, self._counted, axis=-1).astype(np.float64)
+        return (1.0 - np.vecdot(counted, self._lost_weights)).tolist()
 
     def _digest(self, genome: np.ndarray) -> bytes:
         return hashlib.blake2b(genome.tobytes(), digest_size=16).digest()
@@ -577,8 +574,8 @@ class FitnessEvaluator:
     def _scoring_rows(self) -> int:
         """Genomes per scoring block, from ``_SCORING_CELLS``."""
         n, dim = self.layout.n_slides, self._queries.shape[1]
-        n_eval = len(self._queries)
-        n_auc = 0 if self.reference_auc is None else len(self._retrieval_queries)
+        n_eval = len(self._truth)
+        n_auc = 0 if self.reference_auc is None else len(self._queries)
         return max(1, _SCORING_CELLS // ((n_auc + n_eval) * n + n_eval * min(self.k, n) * dim))
 
     def evaluate_full(self, genome):
@@ -593,16 +590,14 @@ class FitnessEvaluator:
         least one: distances, k-NN and the retrieval AUC each run once on a
         whole scoring block. The confusion counts, weighted F1 and fitness
         pairs are then computed once for the whole batch (F1 is elementwise
-        per genome). A constrained evaluator computes one expanded distance
-        matrix per genome for the AUC, and the k-NN shortlists from its
-        evaluation rows. A genome's bits do not depend on either block.
+        per genome). A genome's bits do not depend on either block.
         """
         genomes = genome_matrix(genome, self.layout)
         cells = max(_LIBRARY_CELLS, self.layout.matrix.size)
         library_rows = max(1, cells // self._queries.shape[1] // self.layout.n_slides)
         scoring_rows = self._scoring_rows()
         # An empty first block lets an empty batch tally too.
-        predicted, aucs = [np.empty((0, len(self._queries)), dtype=np.intp)], []
+        predicted, aucs = [np.empty((0, len(self._truth)), dtype=np.intp)], []
         for start in range(0, len(genomes), library_rows):
             vectors = aggregate_selected(genomes[start : start + library_rows], self.layout).vectors
             for part in range(0, len(vectors), scoring_rows):
@@ -623,14 +618,13 @@ class FitnessEvaluator:
 
     def _score_block(self, vectors) -> tuple[np.ndarray, list]:
         """(N, Q) k-NN class indices and N retrieval AUCs (none when
-        unconstrained) for a block of N libraries' (N, S, dim) vectors."""
-        constrained = self.reference_auc is not None
-        if constrained:
-            dists = expanded_sq_distances(self._retrieval_queries, vectors, self._retrieval_norms)
-        shared = dists[:, : len(self._queries)] if constrained and self._shares_queries else None
-        library = ReferenceLibrary(vectors=vectors, labels=self._train_codes, query_distances=shared)
-        predicted = knn_predict(self._queries, library, self.k)
-        return predicted, self._library_auc(dists) if constrained else []
+        unconstrained) for a block of N libraries' (N, S, dim) vectors, from
+        one distance product: the k-NN reads its first Q rows, the AUC all."""
+        dists = expanded_sq_distances(self._queries, vectors, self._query_norms)
+        n_eval = len(self._truth)
+        library = ReferenceLibrary(vectors, self._train_codes, query_distances=dists[:, :n_eval])
+        predicted = knn_predict(self._queries[:n_eval], library, self.k)
+        return predicted, [] if self.reference_auc is None else self._library_auc(dists)
 
     def evaluate(self, genome):
         """Objectives only, with digest-keyed memoization.

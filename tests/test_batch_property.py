@@ -89,8 +89,8 @@ def test_batch_equals_rows_and_oracle(cohort):
 
 
 def _no_train_slide_of_a_validation_class():
-    """A cohort whose validation class 'c' has no training slide, so the
-    retrieval drops that query and the k-NN expands on its own."""
+    """A cohort whose validation class 'c' has no training slide, so that
+    query stays in the block and is left out of the AUC's mean."""
     rng = np.random.default_rng(11)
     train = slides(rng, ["a", "b", "a", "b"], [3, 4, 2, 5], 3, "train")
     evals = slides(rng, ["c", "a", "b"], [2, 3, 4], 3, "validation")
@@ -110,13 +110,13 @@ def _bits(*values):
 @given(cohort=cohorts())
 @example(cohort=_no_train_slide_of_a_validation_class())
 def test_block_and_knn_path_match_single_genome_scoring(cohort, block_cells):
-    """Each block size, with either source of the k-NN's expanded distances,
-    gives every genome its single-genome bits.
+    """Each block size, with either height of distance block, gives every
+    genome its single-genome bits.
 
     The reference scores one genome at a time with an unconstrained
-    evaluator, whose k-NN expands on its own before it shortlists; a
-    constrained evaluator's k-NN shortlists from the retrieval distances
-    instead.
+    evaluator, whose block holds the evaluation rows alone; a constrained
+    evaluator's block adds a row per training slide, and its k-NN
+    shortlists from the block's evaluation rows.
     """
     train, evals, layout, genomes, k = cohort
     classes = sorted({rec.label for rec in train + evals})

@@ -215,7 +215,8 @@ def test_run_records_search_rule(small_ds, tmp_path):
     assert summary["config"]["search"] == "guided"  # flag wins
 
 
-@pytest.mark.parametrize("config", [{"k_neighbors": "5"}, {"generations": 1.5}])
+@pytest.mark.parametrize("config", [{"k_neighbors": "5"}, {"generations": 1.5},
+                                    {"mutation_flip_p": True}, {"crossover_swap_p": "0.5"}])
 def test_run_rejects_wrongly_typed_config_exit_2(small_ds, tmp_path, capsys, config):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))

@@ -520,6 +520,25 @@ def test_retrieval_auc_hand_case():
     assert evaluator.reference_auc == evaluator.retrieval_auc(ones)
 
 
+def test_retrieval_auc_leaves_out_queries_without_both_kinds():
+    def slide(name, label, split, x):
+        return SlideRecord(name, label, split, np.array([[x]], dtype=np.float32))
+
+    train = [slide("a0", "a", "train", 0), slide("a1", "a", "train", 1),
+             slide("b0", "b", "train", 3), slide("b1", "b", "train", 4)]
+    # q as in the hand case above; r has no same-class library slide, so it
+    # stays in the block but not in the mean.
+    evals = [slide("q", "a", "validation", 2), slide("r", "c", "validation", 5)]
+    layout = build_layout(train)
+    evaluator = FitnessEvaluator(layout, evals, 1, constrained=True)
+    ones = np.ones(layout.total_patches, dtype=bool)
+    assert len(evaluator._queries) == 6
+    assert evaluator.reference_auc == pytest.approx((0.25 + 4) / 5, abs=1e-12)
+    assert evaluator.reference_auc == pytest.approx(
+        straight_line_retrieval_auc(ones, layout, train, evals), abs=1e-12)
+    assert evaluator.evaluate_full(ones)[1].counts.sum() == 2
+
+
 def test_retrieval_auc_matches_straight_line_oracle():
     ds = generate(SynthConfig(classes=3, train_slides_per_class=5,
                               validation_slides_per_class=2, test_slides_per_class=1,
@@ -541,22 +560,23 @@ def test_retrieval_auc_matches_straight_line_oracle():
 
 @pytest.mark.parametrize("labels", [("a", "b", "c"), ("a",)])
 def test_library_auc_batch_matches_the_per_row_dot(labels):
-    # Each AUC is 1 minus one genome's lost pairs dotted with the weights,
-    # bit for bit, in a batch as alone; with no query left (one label) it is 0.
+    # Each AUC is 1 minus one genome's counted lost pairs dotted with the
+    # weights, bit for bit, in a batch as alone; with no query counted (one
+    # label) it is 0.
     rng = np.random.default_rng(21)
     train = make_slides(rng, 40, 5, labels)
     evals = make_slides(rng, 9, 5, labels, split="validation")
     layout = build_layout(train)
     evaluator = FitnessEvaluator(layout, evals, 3, constrained=True)
     genomes = np.stack([random_covered_genome(rng, layout) for _ in range(17)])
-    queries = evaluator._retrieval_queries
-    dists = expanded_sq_distances(queries, aggregate_selected(genomes, layout).vectors,
-                                  evaluator._retrieval_norms)
+    dists = expanded_sq_distances(evaluator._queries, aggregate_selected(genomes, layout).vectors,
+                                  evaluator._query_norms)
     aucs = evaluator._library_auc(dists.copy())
     alone = [evaluator._library_auc(matrix) for matrix in dists.copy()]
     dists[(..., *evaluator._self_cells)] = np.inf
     lost = _lost_pairs64(np.maximum(dists, 0.0), evaluator._same_bit, evaluator._same_before)
-    if len(queries):
+    lost = lost[:, evaluator._counted]
+    if evaluator._counted.size:
         expected = [1.0 - float(row @ evaluator._lost_weights) for row in lost]
     else:
         expected = [0.0] * len(genomes)

@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from evops.dataset import build_layout
+from evops.dataset import SlideRecord, SplitDataset, build_layout
 from evops.evolution import SEARCHES, EvolutionConfig, Individual, run_evolution
 from evops.fitness import FitnessPair, evaluate_individual
 from evops import pareto_report
@@ -332,6 +332,24 @@ def test_export_aggregate_file(planted_run, tmp_path):
     assert set(parsed["per_class_patches_per_slide"]) == set(
         report.per_class_patches_per_slide
     )
+
+
+def test_per_class_keys_are_sorted_whatever_the_training_order(tmp_path):
+    # Class order is lexicographic even when the training slides list b first.
+    rng = np.random.default_rng(9)
+
+    def split(name, labels):
+        return tuple(SlideRecord(f"{name}_{i}", label, name,
+                                 rng.normal(label == "a", 1.0, (4, 3)).astype(np.float32))
+                     for i, label in enumerate(labels))
+
+    ds = SplitDataset(classes=("a", "b"), train=split("train", "bbbaaa"),
+                      validation=split("validation", "ba"), test=split("test", "ba"), dim=3)
+    config = EvolutionConfig(population_size=4, generations=1, seed=1)
+    population, traces = run_evolution(ds, config)
+    export_report(build_report(ds, config, population, traces), tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert list(summary["per_class_patches_per_slide"]) == ["a", "b"]
 
 
 def test_report_scores_equal_evaluate_individual():
