@@ -157,6 +157,10 @@ MUTANTS = [
      "a file is not read past the size its header declares"),
     (FITNESS, "score = np.add.accumulate(terms, axis=-1)[..., -1]", "score = terms.sum(axis=-1)",
      "the weighted F1 adds its classes in order"),
+    (FITNESS, "[pair for pair, _ in scored]", "[pair for pair, _ in scored[::-1]]",
+     "evaluate returns each row's pair in row order"),
+    (FITNESS, "        if len(self._queries) == len(self._truth):\n", "        if False:\n",
+     "retrieval_auc on an unconstrained evaluator raises a ValueError naming constrained=True"),
     (PARETO, 'if field.name != "seed" and value != expected:',
      'if field.name not in ("seed", "search") and value != expected:',
      "runs aggregate only when every config field but the seed matches"),

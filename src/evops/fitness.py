@@ -23,7 +23,6 @@ distances accumulate in double precision.
 from __future__ import annotations
 
 import functools
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -463,16 +462,15 @@ class FitnessEvaluator:
 
     The training labels, the default ``classes`` and the retrieval queries
     come from ``layout.slides``, the one handle on the training split.
-    Caches the evaluation-slide mean vectors (they never change within a
-    run) and previously computed fitness pairs keyed by genome digest;
-    ``evaluate`` computes each distinct genome of a batch once, whether it
-    repeats a cached genome or an earlier row of the same batch. Evaluation
-    consumes no randomness, so a genome's fitness does not depend on when
-    or how often it is evaluated.
+    Holds the evaluation-slide mean vectors (they never change within a
+    run), and memoizes no fitness: every row it is given is scored,
+    repeats included. Evaluation is pure and consumes no randomness, so a
+    genome's fitness does not depend on when or how often it is evaluated.
 
     With ``constrained`` set, each genome is also scored by its retrieval
-    AUC (``retrieval_auc``), and ``FitnessPair.violation`` is how far that
-    falls below the AUC of the library that keeps every patch.
+    AUC (``retrieval_auc``, which needs ``constrained=True``), and
+    ``FitnessPair.violation`` is how far that falls below the AUC of the
+    library that keeps every patch.
     A scoring block's one distance product has a row per evaluation slide,
     which the k-NN reads, then, if constrained, one per training slide.
     """
@@ -501,7 +499,6 @@ class FitnessEvaluator:
         )
         self._truth = codes[:n_eval]
         self._train_codes = tuple(codes[n_eval:].tolist())
-        self._cache: dict[bytes, FitnessPair] = {}
         self.reference_auc = None
         if constrained:
             self._setup_retrieval()
@@ -537,8 +534,12 @@ class FitnessEvaluator:
         is the share of its (same-class, other-class) library pairs whose
         same-class member is strictly nearer. Queries without both kinds of
         library slide are left out of the mean; with none counted the AUC
-        is 0. Distances use ``expanded_sq_distances``.
+        is 0. Distances use ``expanded_sq_distances``. Raises ValueError on
+        an evaluator built without ``constrained=True``, which has no
+        training-slide queries.
         """
+        if len(self._queries) == len(self._truth):
+            raise ValueError("retrieval_auc needs an evaluator built with constrained=True")
         vectors = aggregate_selected(genome, self.layout).vectors
         return self._library_auc(expanded_sq_distances(self._queries, vectors, self._query_norms))
 
@@ -567,9 +568,6 @@ class FitnessEvaluator:
         # np.take keeps C order (lost[..., idx] would not), so each row sums as it does alone.
         counted = np.take(lost, self._counted, axis=-1).astype(np.float64)
         return (1.0 - np.vecdot(counted, self._lost_weights)).tolist()
-
-    def _digest(self, genome: np.ndarray) -> bytes:
-        return hashlib.blake2b(genome.tobytes(), digest_size=16).digest()
 
     def _scoring_rows(self) -> int:
         """Genomes per scoring block, from ``_SCORING_CELLS``."""
@@ -627,25 +625,14 @@ class FitnessEvaluator:
         return predicted, [] if self.reference_auc is None else self._library_auc(dists)
 
     def evaluate(self, genome):
-        """Objectives only, with digest-keyed memoization.
+        """Objectives only: the FitnessPairs of one ``evaluate_full`` call.
 
         ``genome`` is one (P,) genome, giving one FitnessPair, or an (N, P)
-        matrix, giving a list of N. Rows already cached, or repeating an
-        earlier row of the matrix, are not recomputed; the rest go to one
-        ``evaluate_full`` call.
+        matrix, giving a list of N, one per row in row order. Every row is
+        scored, a repeated row as often as it occurs; nothing is memoized.
         """
-        genomes = genome_matrix(genome, self.layout)
-        keys = [self._digest(row) for row in genomes]
-        missing: dict[bytes, int] = {}  # digest -> first row holding it
-        for i, key in enumerate(keys):
-            if key not in self._cache:
-                missing.setdefault(key, i)
-        if missing:
-            scored = self.evaluate_full(genomes[list(missing.values())])
-            for key, (pair, _) in zip(missing, scored):
-                self._cache[key] = pair
-        pairs = [self._cache[key] for key in keys]
-        return pairs if np.ndim(genome) == 2 else pairs[0]
+        scored = self.evaluate_full(genome)
+        return [pair for pair, _ in scored] if np.ndim(genome) == 2 else scored[0]
 
 
 def evaluate_individual(genome, layout, eval_slides, k, classes=None):

@@ -585,6 +585,14 @@ def test_library_auc_batch_matches_the_per_row_dot(labels):
     assert all(type(auc) is float for auc in aucs + alone)
 
 
+def test_retrieval_auc_needs_a_constrained_evaluator():
+    ds = generate(SynthConfig())
+    evaluator = FitnessEvaluator(ds.layout, ds.validation, 5)
+    ones = np.ones(evaluator.layout.total_patches, dtype=bool)
+    with pytest.raises(ValueError, match="constrained=True"):
+        evaluator.retrieval_auc(ones)
+
+
 def test_unconstrained_evaluator_reports_no_violation():
     rng = np.random.default_rng(17)
     train = make_slides(rng, 6, 4, ["a", "b"])
@@ -595,32 +603,29 @@ def test_unconstrained_evaluator_reports_no_violation():
     assert evaluator.evaluate(random_covered_genome(rng, layout)).violation == 0.0
 
 
-def test_evaluate_batch_computes_each_distinct_genome_once():
+def test_evaluate_scores_every_row_in_one_evaluate_full_call():
     rng = np.random.default_rng(18)
     train = make_slides(rng, 6, 4, ["a", "b"])
     evals = make_slides(rng, 4, 4, ["a", "b"], split="validation")
     layout = build_layout(train)
     first, second = (random_covered_genome(rng, layout) for _ in range(2))
+    batch = np.stack([first, second, first, first])
     evaluator = FitnessEvaluator(layout, evals, 3, constrained=True)
-    computed = []  # rows passed to each evaluate_full call
+    calls = []  # rows passed to each evaluate_full call
     evaluate_full = evaluator.evaluate_full
 
-    def counting(genomes):
-        computed.append(len(genomes))
+    def recording(genomes):
+        calls.append(genomes.copy())
         return evaluate_full(genomes)
 
-    evaluator.evaluate_full = counting
+    evaluator.evaluate_full = recording
 
-    pairs = evaluator.evaluate(np.stack([first, second, first, first]))
-    assert computed == [2]
-    assert len(evaluator._cache) == 2
-    assert pairs[0] is pairs[2] is pairs[3]
-    assert pairs[0] != pairs[1]
-    assert evaluator.evaluate(np.stack([second, first])) == [pairs[1], pairs[0]]
-    assert evaluator.evaluate(first) == pairs[0]
-    assert computed == [2]  # cached genomes are not recomputed
+    pairs = evaluator.evaluate(batch)
+    assert len(calls) == 1 and np.array_equal(calls[0], batch)
+    assert pairs == [pair for pair, _ in evaluate_full(batch)]
+    assert pairs[0] == pairs[2] == pairs[3] != pairs[1]
     fresh = FitnessEvaluator(layout, evals, 3, constrained=True)
-    assert pairs == [fresh.evaluate(g) for g in (first, second, first, first)]
+    assert pairs == [fresh.evaluate(g) for g in batch]
 
 
 def test_evaluate_full_batch_matches_single_genomes():
@@ -651,6 +656,22 @@ def test_aggregate_batch_names_first_empty_segment_of_first_bad_row():
     evals = make_slides(rng, 2, 4, ["a", "b"], split="validation")
     with pytest.raises(CoverageViolation, match="train2"):
         FitnessEvaluator(layout, evals, 1).evaluate(genomes)
+
+
+def test_evaluate_names_the_callers_row_of_an_empty_segment():
+    # A repeated row before the bad one still counts: the message indexes
+    # the rows evaluate was given, as evaluate_full's does.
+    rng = np.random.default_rng(22)
+    slides = make_slides(rng, 4, 4, ["a", "b"])
+    evals = make_slides(rng, 2, 4, ["a", "b"], split="validation")
+    layout = build_layout(slides)
+    genomes = np.ones((3, layout.total_patches), dtype=bool)
+    _, offset, length = layout.segments[2]
+    genomes[2, offset : offset + length] = False
+    evaluator = FitnessEvaluator(layout, evals, 1)
+    for score in (evaluator.evaluate, evaluator.evaluate_full):
+        with pytest.raises(CoverageViolation, match=r"segment 2 of genome 2 \(slide 'train2'\)"):
+            score(genomes)
 
 
 @pytest.mark.parametrize("shape", ["3d", "short", "long"])
