@@ -70,33 +70,42 @@ MUTANTS = [
      "a query without both kinds of library slide is left out of the AUC's mean"),
     (FITNESS, "    keys <<= np.uint64(1)\n    keys |= same_bit\n", "    keys -= same_bit\n",
      "a same-class entry wins a pair only when strictly nearer"),
-    (FITNESS, "max(0.0, self.reference_auc - aucs[i])", "max(0.0, aucs[i] - self.reference_auc)",
+    (FITNESS, "np.maximum(0.0, self.reference_auc - np.array(aucs), out=rows[:, 2])",
+     "np.maximum(0.0, np.array(aucs) - self.reference_auc, out=rows[:, 2])",
      "the violation is how far a genome's AUC falls below the all-patches AUC"),
-    (FITNESS, "f1_fraction=count / self.layout.total_patches,",
-     "f1_fraction=count / (self.layout.total_patches + 1),",
+    (FITNESS, "np.divide(genomes.sum(axis=1), self.layout.total_patches, out=rows[:, 0])",
+     "np.divide(genomes.sum(axis=1), self.layout.total_patches + 1, out=rows[:, 0])",
      "the first objective is the fraction of training patches kept"),
-    (EVOLUTION, "return (viol[:, None] < viol[None, :])", "return (viol[:, None] > viol[None, :])",
+    (EVOLUTION, "dom |= viol[:, None] < viol", "dom |= viol[:, None] > viol",
      "a smaller violation dominates (constrained domination)"),
-    (EVOLUTION, "        dist[order[0]] = math.inf\n", "        dist[order[0]] = 0.0\n",
+    (EVOLUTION, "dom = no_worse & ~no_worse.T", "dom = no_worse.copy()",
+     "a genome equal to another in both objectives dominates neither way"),
+    (EVOLUTION, "        term[ends] = math.inf\n", "        term[ends] = 0.0\n",
      "crowding boundaries are at +inf"),
+    (EVOLUTION, "span = np.repeat(values[stops] - values[starts], sizes)",
+     "span = np.full(n, np.ptp(values))",
+     "a crowding span is its own front's range, not one across front boundaries"),
     (EVOLUTION, "rng = np.random.default_rng(config.seed)",
      'rng = np.random.default_rng(__import__("time").time_ns())',
      "a run is a function of (dataset, seed)"),
-    (EVOLUTION, "cut = np.lexsort((front, -dist))[:need]",
-     "cut = np.lexsort((-front, -dist))[:need]",
+    (EVOLUTION, "np.lexsort((front, -dist))[:need]",
+     "np.lexsort((-front, -dist))[:need]",
      "the survivor cut breaks crowding ties by lower index"),
     (EVOLUTION, "slide @ (means[rec.label] - centre)", "slide @ (centre - means[rec.label])",
      "relevance leans towards a patch's own class"),
     (EVOLUTION, "winner = a if crowding[a] > crowding[b] else b",
      "winner = a if crowding[a] < crowding[b] else b",
      "a tournament at equal rank prefers the larger crowding distance"),
-    (EVOLUTION, "np.concatenate([objectives, _objectives(evaluator.evaluate(genomes[n:]))])",
-     "np.concatenate([_objectives(evaluator.evaluate(genomes[n:])), objectives])\n"
+    (EVOLUTION, "np.concatenate([objectives, evaluator.evaluate(genomes[n:])])",
+     "np.concatenate([evaluator.evaluate(genomes[n:]), objectives])\n"
      "        genomes = np.concatenate([genomes[n:], genomes[:n]])",
      "survivor selection ranks the population before its offspring"),
     (EVOLUTION, "winner = a if rng.integers(2) == 0 else b",
      "winner = b if rng.integers(2) == 0 else a",
      "a tournament's coin flip of 0 picks its first draw"),
+    (EVOLUTION, "        a = int(rng.integers(0, n))\n        b = int(rng.integers(0, n))\n",
+     "        b = int(rng.integers(0, n))\n        a = int(rng.integers(0, n))\n",
+     "a tournament's first draw is its first member"),
     (EVOLUTION, "np.stack(pairs, axis=1).reshape(pool.shape)", "np.concatenate(pairs)",
      "children go in pair order, each pair's child_a before its child_b"),
     (EVOLUTION, "        if first < m - 1:\n"
@@ -157,8 +166,9 @@ MUTANTS = [
      "a file is not read past the size its header declares"),
     (FITNESS, "score = np.add.accumulate(terms, axis=-1)[..., -1]", "score = terms.sum(axis=-1)",
      "the weighted F1 adds its classes in order"),
-    (FITNESS, "[pair for pair, _ in scored]", "[pair for pair, _ in scored[::-1]]",
-     "evaluate returns each row's pair in row order"),
+    (FITNESS, "return rows if np.ndim(genome) == 2 else rows[0]",
+     "return rows[::-1] if np.ndim(genome) == 2 else rows[0]",
+     "evaluate returns each row's objectives in row order"),
     (FITNESS, "        if len(self._queries) == len(self._truth):\n", "        if False:\n",
      "retrieval_auc on an unconstrained evaluator raises a ValueError naming constrained=True"),
     (PARETO, 'if field.name != "seed" and value != expected:',

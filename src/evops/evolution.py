@@ -287,13 +287,17 @@ def _dominance(objectives) -> np.ndarray:
     Cell [i, j] is set when i dominates j. A smaller violation dominates
     outright (so a feasible genome dominates every infeasible one); at
     equal violation, i dominates j iff it is no worse in both objectives
-    and strictly better in one.
+    and strictly better in one. Being no worse both ways is being equal
+    in both, so "strictly better in one" is "j is not no worse than i":
+    one ``no_worse`` matrix and its transpose decide every pair.
     """
-    f1, f2, viol = objectives[:, :1], objectives[:, 1:2], objectives[:, 2]
-    no_worse = (f1 <= f1.T) & (f2 <= f2.T)
-    better = (f1 < f1.T) | (f2 < f2.T)
-    tied = viol[:, None] == viol[None, :]
-    return (viol[:, None] < viol[None, :]) | (tied & no_worse & better)
+    f1, f2, viol = np.ascontiguousarray(objectives.T)
+    no_worse = f1[:, None] <= f1
+    no_worse &= f2[:, None] <= f2
+    dom = no_worse & ~no_worse.T
+    dom &= viol[:, None] == viol
+    dom |= viol[:, None] < viol
+    return dom
 
 
 def _fronts(objectives):
@@ -318,19 +322,34 @@ def fast_non_dominated_sort(population) -> list[list[int]]:
     return [front.tolist() for front in _fronts(_objectives(ind.fitness for ind in population))]
 
 
-def _crowding(objectives) -> np.ndarray:
-    """``crowding_distance`` of one front's (n, 3) objective rows, as an array."""
+def _crowding(objectives, front) -> np.ndarray:
+    """``crowding_distance`` of every row within its front, in one pass.
+
+    ``objectives`` holds (n, 3) rows grouped by front, and ``front`` each
+    row's front id, nondecreasing; within a front, rows come in index
+    order. Each objective sorts all rows once, by (front, value, row), so
+    every front keeps its place and is one run of the sorted order: its
+    first and last members get +inf (so does every member of a front of
+    two or fewer), and each member between them adds (next - prev) / span
+    where its front's span is positive. A member's crowding is thus its
+    two terms' sum, as one front's loop adds them.
+    """
     n = len(objectives)
-    if n <= 2:
-        return np.full(n, math.inf)
+    first, last = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+    np.not_equal(front[1:], front[:-1], out=first[1:])
+    last[:-1] = first[1:]
+    starts, stops = np.flatnonzero(first), np.flatnonzero(last)
+    sizes = stops - starts + 1
+    ends = first | last
     dist = np.zeros(n)
     for m in range(2):  # the violation is no objective
-        order = np.argsort(objectives[:, m], kind="stable")
-        dist[order[0]] = math.inf
-        dist[order[-1]] = math.inf
-        span = objectives[order[-1], m] - objectives[order[0], m]
-        if span > 0:
-            dist[order[1:-1]] += (objectives[order[2:], m] - objectives[order[:-2], m]) / span
+        order = np.lexsort((objectives[:, m], front))
+        values = objectives[order, m]
+        span = np.repeat(values[stops] - values[starts], sizes)
+        term = np.zeros(n)
+        np.divide(values[2:] - values[:-2], span[1:-1], out=term[1:-1], where=span[1:-1] > 0)
+        term[ends] = math.inf
+        dist[order] += term
     return dist
 
 
@@ -341,20 +360,23 @@ def crowding_distance(front_fitness) -> list[float]:
     interior solutions accumulate the normalized gap between neighbors.
     An objective with zero range contributes nothing.
     """
-    return _crowding(_objectives(front_fitness)).tolist()
+    objectives = _objectives(front_fitness)
+    return _crowding(objectives, np.zeros(len(objectives), dtype=np.intp)).tolist()
 
 
 def select_parents(rank, crowding, rng) -> list[int]:
     """Binary tournaments on (rank, crowding): one winner's index per member.
 
     A tournament draws two members; the lower rank wins, then the larger
-    crowding, then a coin flip, whose 0 picks the first draw.
+    crowding, then a coin flip, whose 0 picks the first draw. The two
+    members are two scalar draws, the stream of one ``size=2`` draw.
     """
     rank, crowding = rank.tolist(), crowding.tolist()
     winners = []
     n = len(rank)
     for _ in range(n):
-        a, b = rng.integers(0, n, size=2).tolist()
+        a = int(rng.integers(0, n))
+        b = int(rng.integers(0, n))
         if rank[a] != rank[b]:
             winner = a if rank[a] < rank[b] else b
         elif crowding[a] != crowding[b]:
@@ -372,22 +394,25 @@ def select_survivors(objectives, population_size):
     offspring. Returns the survivors' indices in selection order, with
     their rank and crowding arrays. Whole fronts go in index order; the
     overflowing front, its crowding computed over the whole front, gives
-    its members by descending crowding, ties to the lower index. Fronts
-    after the cut are not ranked.
+    its members by descending crowding, ties to the lower index. The
+    crowding of every front kept is one ``_crowding`` pass. Fronts after
+    the cut are not ranked.
     """
-    keep, rank, crowding = [], [], []
-    for r, front in enumerate(_fronts(objectives)):
-        dist = _crowding(objectives[front])
-        need = population_size - len(keep)
-        if len(front) > need:
-            cut = np.lexsort((front, -dist))[:need]
-            front, dist = front[cut], dist[cut]
-        keep += front.tolist()
-        rank += [r] * len(front)
-        crowding += dist.tolist()
-        if len(keep) == population_size:
+    fronts, count = [], 0
+    for front in _fronts(objectives):
+        fronts.append(front)
+        count += len(front)
+        if count >= population_size:
             break
-    return np.array(keep), np.array(rank), np.array(crowding)
+    keep = np.concatenate(fronts)
+    rank = np.repeat(np.arange(len(fronts)), [len(f) for f in fronts])
+    crowding = _crowding(objectives[keep], rank)
+    if count > population_size:  # the last front overflows
+        head = count - len(front)
+        dist, need = crowding[head:], population_size - head
+        cut = np.concatenate([np.arange(head), head + np.lexsort((front, -dist))[:need]])
+        keep, rank, crowding = keep[cut], rank[cut], crowding[cut]
+    return keep, rank, crowding
 
 
 def _trace(generation, objectives, rank) -> GenerationTrace:
@@ -437,7 +462,7 @@ def run_evolution(dataset: SplitDataset, config: EvolutionConfig, workers=1,
     # (2N, P) array per generation raised glibc's mmap threshold and the peak RSS.
     genomes = np.empty((2 * n, layout.total_patches), dtype=bool)
     genomes[:n] = [ind.genome for ind in initialize_population(layout, config, rng, relevance)]
-    objectives = _objectives(evaluator.evaluate(genomes[:n]))
+    objectives = evaluator.evaluate(genomes[:n])
     # Everyone survives; the ranking goes back into population order.
     order, rank, crowding = select_survivors(objectives, n)
     back = np.argsort(order)
@@ -454,7 +479,7 @@ def run_evolution(dataset: SplitDataset, config: EvolutionConfig, workers=1,
         genomes[n:] = np.stack(pairs, axis=1).reshape(pool.shape)
         del pool, pairs  # freed before mutation allocates: a lower peak on wide genomes
         genomes[n:] = safe_bitflip_mutation(genomes[n:], layout, config.mutation_flip_p, rng)
-        objectives = np.concatenate([objectives, _objectives(evaluator.evaluate(genomes[n:]))])
+        objectives = np.concatenate([objectives, evaluator.evaluate(genomes[n:])])
         keep, rank, crowding = select_survivors(objectives, n)
         genomes[:n], objectives = genomes[keep], objectives[keep]
         traces.append(_trace(generation, objectives, rank))

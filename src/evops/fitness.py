@@ -468,9 +468,9 @@ class FitnessEvaluator:
     genome's fitness does not depend on when or how often it is evaluated.
 
     With ``constrained`` set, each genome is also scored by its retrieval
-    AUC (``retrieval_auc``, which needs ``constrained=True``), and
-    ``FitnessPair.violation`` is how far that falls below the AUC of the
-    library that keeps every patch.
+    AUC (``retrieval_auc``, which needs ``constrained=True``), and the
+    violation (``evaluate``'s third column, ``FitnessPair.violation``) is
+    how far that falls below the AUC of the library that keeps every patch.
     A scoring block's one distance product has a row per evaluation slide,
     which the k-NN reads, then, if constrained, one per training slide.
     """
@@ -580,15 +580,39 @@ class FitnessEvaluator:
         """Both objectives plus the evaluation-split confusion matrix.
 
         ``genome`` is one (P,) genome, giving one (FitnessPair,
-        ConfusionMatrix), or an (N, P) matrix, giving a list of N of them.
-        The libraries of a matrix are aggregated a block of rows at a time,
-        at most ``_LIBRARY_CELLS`` library values or the training matrix's
-        size per block, whichever is larger. Each library block is scored
-        in blocks of genomes that fit ``_SCORING_CELLS`` work values, at
-        least one: distances, k-NN and the retrieval AUC each run once on a
-        whole scoring block. The confusion counts, weighted F1 and fitness
-        pairs are then computed once for the whole batch (F1 is elementwise
-        per genome). A genome's bits do not depend on either block.
+        ConfusionMatrix), or an (N, P) matrix, giving a list of N of them,
+        in row order. The pairs hold ``evaluate``'s rows, bit for bit.
+        """
+        rows, counts = self._score(genome)
+        results = [(FitnessPair(*row), ConfusionMatrix(self.classes, count))
+                   for row, count in zip(rows.tolist(), counts)]
+        return results if np.ndim(genome) == 2 else results[0]
+
+    def evaluate(self, genome):
+        """Objectives only, as float64 rows of (fraction, error, violation).
+
+        ``genome`` is one (P,) genome, giving a (3,) row, or an (N, P)
+        matrix, giving (N, 3) rows in row order. Every row is scored, a
+        repeated row as often as it occurs; nothing is memoized. The
+        search ranks these rows as they are; ``evaluate_full`` wraps the
+        same rows in ``FitnessPair``s.
+        """
+        rows, _ = self._score(genome)
+        return rows if np.ndim(genome) == 2 else rows[0]
+
+    def _score(self, genome) -> tuple[np.ndarray, np.ndarray]:
+        """(N, 3) objective rows and (N, C, C) confusion counts of a batch.
+
+        The libraries of an (N, P) matrix are aggregated a block of rows at
+        a time, at most ``_LIBRARY_CELLS`` library values or the training
+        matrix's size per block, whichever is larger. Each library block is
+        scored in blocks of genomes that fit ``_SCORING_CELLS`` work values,
+        at least one: distances, k-NN and the retrieval AUC each run once on
+        a whole scoring block. The confusion counts, weighted F1 and rows
+        are then computed once for the whole batch (F1 is elementwise per
+        genome). A row's fraction is its popcount over P, correctly rounded
+        as ``int / int`` is; its violation is 0 when unconstrained. A
+        genome's bits do not depend on either block.
         """
         genomes = genome_matrix(genome, self.layout)
         cells = max(_LIBRARY_CELLS, self.layout.matrix.size)
@@ -603,16 +627,12 @@ class FitnessEvaluator:
                 predicted.append(part_predicted)
                 aucs += part_aucs
         counts = _tally(self._truth, np.concatenate(predicted), self._names, len(self.classes))
-        errors = 1.0 - weighted_f1_from_confusion(ConfusionMatrix(self.classes, counts))
-        results = []
-        for i, count in enumerate(genomes.sum(axis=1).tolist()):
-            pair = FitnessPair(
-                f1_fraction=count / self.layout.total_patches,
-                f2_error=float(errors[i]),
-                violation=max(0.0, self.reference_auc - aucs[i]) if aucs else 0.0,
-            )
-            results.append((pair, ConfusionMatrix(self.classes, counts[i])))
-        return results if np.ndim(genome) == 2 else results[0]
+        rows = np.zeros((len(genomes), 3))
+        np.divide(genomes.sum(axis=1), self.layout.total_patches, out=rows[:, 0])
+        rows[:, 1] = 1.0 - weighted_f1_from_confusion(ConfusionMatrix(self.classes, counts))
+        if aucs:
+            np.maximum(0.0, self.reference_auc - np.array(aucs), out=rows[:, 2])
+        return rows, counts
 
     def _score_block(self, vectors) -> tuple[np.ndarray, list]:
         """(N, Q) k-NN class indices and N retrieval AUCs (none when
@@ -623,16 +643,6 @@ class FitnessEvaluator:
         library = ReferenceLibrary(vectors, self._train_codes, query_distances=dists[:, :n_eval])
         predicted = knn_predict(self._queries[:n_eval], library, self.k)
         return predicted, [] if self.reference_auc is None else self._library_auc(dists)
-
-    def evaluate(self, genome):
-        """Objectives only: the FitnessPairs of one ``evaluate_full`` call.
-
-        ``genome`` is one (P,) genome, giving one FitnessPair, or an (N, P)
-        matrix, giving a list of N, one per row in row order. Every row is
-        scored, a repeated row as often as it occurs; nothing is memoized.
-        """
-        scored = self.evaluate_full(genome)
-        return [pair for pair, _ in scored] if np.ndim(genome) == 2 else scored[0]
 
 
 def evaluate_individual(genome, layout, eval_slides, k, classes=None):

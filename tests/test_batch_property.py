@@ -75,17 +75,17 @@ def test_batch_equals_rows_and_oracle(cohort):
 
     batched = FitnessEvaluator(layout, evals, k, constrained=True).evaluate(genomes)
     single = FitnessEvaluator(layout, evals, k, constrained=True)
-    assert batched == [single.evaluate(row) for row in genomes]
+    assert batched.tobytes() == np.stack([single.evaluate(row) for row in genomes]).tobytes()
 
     classes = sorted({rec.label for rec in train + evals})
     ones = np.ones(layout.total_patches, dtype=bool)
     reference = straight_line_retrieval_auc(ones, layout, train, evals)
-    for row, pair in zip(genomes, batched):
+    for row, (f1_fraction, f2_error, violation) in zip(genomes, batched):
         fraction, error = straight_line_fitness(row, layout, train, evals, k, classes)
-        assert abs(pair.f1_fraction - fraction) <= 1e-9
-        assert abs(pair.f2_error - error) <= 1e-9
-        violation = reference - straight_line_retrieval_auc(row, layout, train, evals)
-        assert abs(pair.violation - max(0.0, violation)) <= 1e-9
+        assert abs(f1_fraction - fraction) <= 1e-9
+        assert abs(f2_error - error) <= 1e-9
+        expected = reference - straight_line_retrieval_auc(row, layout, train, evals)
+        assert abs(violation - max(0.0, expected)) <= 1e-9
 
 
 def _no_train_slide_of_a_validation_class():

@@ -461,6 +461,61 @@ def test_survivor_order_matches_straight_line_oracle():
 
 
 @st.composite
+def objective_sets(draw):
+    """(N, 3) objective rows and a survivor count.
+
+    Rows repeat a few points, as a search's population does, so fronts
+    hold duplicates, fronts of one or two members and fronts whose
+    members are all equal (zero span); values come from a coarse grid or
+    anywhere in [0, 1], and violations from a few levels.
+    """
+    value = st.integers(0, 4).map(lambda v: v / 4) | st.floats(0.0, 1.0)
+    violation = st.sampled_from([0.0, 0.0, 0.1, 0.3])
+    points = draw(st.lists(st.tuples(value, value, violation), min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(points) - 1), min_size=1, max_size=60))
+    rows = np.array([points[i] for i in picks], dtype=float)
+    return rows, draw(st.integers(1, len(rows)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(objective_sets())
+def test_select_survivors_equals_the_loop_ranking_bit_for_bit(case):
+    rows, size = case
+    ranks, crowdings = loop_ranking([FitnessPair(*row) for row in rows.tolist()])
+    order = survivor_order(ranks, crowdings, size)
+    survivors, rank, crowding = select_survivors(rows, size)
+    assert survivors.dtype == rank.dtype == np.intp
+    assert survivors.tolist() == order
+    assert rank.tolist() == [ranks[i] for i in order]
+    assert crowding.tobytes() == np.array([crowdings[i] for i in order]).tobytes()
+
+
+def test_select_parents_draws_as_one_tournament_at_a_time():
+    # Members 0 and 1 tie on rank and crowding, and so do 2 and 3, so their
+    # tournaments, and any member drawn twice, flip a coin.
+    rank = np.array([0, 0, 1, 1, 0, 2])
+    crowding = np.array([math.inf, math.inf, 0.5, 0.5, 1.0, 0.0])
+    n = len(rank)
+    flips = 0
+    for seed in range(20):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = []
+        for _ in range(n):
+            i = int(oracle.integers(0, n))
+            j = int(oracle.integers(0, n))
+            if rank[i] != rank[j]:
+                expected.append(i if rank[i] < rank[j] else j)
+            elif crowding[i] != crowding[j]:
+                expected.append(i if crowding[i] > crowding[j] else j)
+            else:
+                flips += 1
+                expected.append(i if oracle.integers(2) == 0 else j)
+        assert select_parents(rank, crowding, rng) == expected
+        assert rng.bit_generator.state == oracle.bit_generator.state
+    assert flips > 20
+
+
+@st.composite
 def loop_cases(draw):
     """A small cohort and a config for either search.
 
@@ -500,7 +555,8 @@ def test_run_evolution_matches_the_straight_line_loop(case):
     population, traces = run_evolution(dataset, config)
     score = FitnessEvaluator(dataset.layout, dataset.validation, config.k_neighbors,
                              classes=dataset.classes, constrained=config.search == "guided")
-    expected, expected_traces = straight_line_run(dataset, config, score.evaluate)
+    expected, expected_traces = straight_line_run(
+        dataset, config, lambda genome: score.evaluate_full(genome)[0])
     assert traces == expected_traces
     assert [(ind.genome.tobytes(), ind.fitness) for ind in population] == [
         (np.array(genome, dtype=bool).tobytes(), fitness) for genome, fitness in expected]

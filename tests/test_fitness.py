@@ -297,12 +297,10 @@ def test_scores_follow_the_layouts_slide_order(k):
     reversed_layout = build_layout(ds.train[::-1])
     rescored = FitnessEvaluator(reversed_layout, ds.validation, k,
                                 constrained=True).evaluate(moved)
-    for pair, other in zip(scored, rescored):
-        assert pair.f1_fraction.hex() == other.f1_fraction.hex()
-        assert pair.f2_error.hex() == other.f2_error.hex()
-        assert abs(pair.violation - other.violation) <= 1e-12
-    assert len({pair.f2_error for pair in scored}) > 1
-    assert any(pair.violation > 0 for pair in scored)
+    assert scored[:, :2].tobytes() == rescored[:, :2].tobytes()
+    assert np.abs(scored[:, 2] - rescored[:, 2]).max() <= 1e-12
+    assert len(set(scored[:, 1].tolist())) > 1
+    assert (scored[:, 2] > 0).any()
 
 
 def test_knn_batch_matches_single_queries():
@@ -555,7 +553,7 @@ def test_retrieval_auc_matches_straight_line_oracle():
         genome = random_covered_genome(rng, layout, density=float(rng.uniform(0.1, 0.9)))
         expected = straight_line_retrieval_auc(genome, layout, ds.train, ds.validation)
         assert abs(evaluator.retrieval_auc(genome) - expected) <= 1e-9
-        assert abs(evaluator.evaluate(genome).violation - max(0.0, reference - expected)) <= 1e-9
+        assert abs(evaluator.evaluate(genome)[2] - max(0.0, reference - expected)) <= 1e-9
 
 
 @pytest.mark.parametrize("labels", [("a", "b", "c"), ("a",)])
@@ -600,32 +598,34 @@ def test_unconstrained_evaluator_reports_no_violation():
     layout = build_layout(train)
     evaluator = FitnessEvaluator(layout, evals, 3)
     assert evaluator.reference_auc is None
-    assert evaluator.evaluate(random_covered_genome(rng, layout)).violation == 0.0
+    assert evaluator.evaluate(random_covered_genome(rng, layout))[2] == 0.0
 
 
-def test_evaluate_scores_every_row_in_one_evaluate_full_call():
+@pytest.mark.parametrize("constrained", [False, True])
+def test_evaluate_rows_are_evaluate_fulls_pairs_bit_for_bit(constrained):
+    # Row i of evaluate is (f1_fraction, f2_error, violation) of evaluate_full's
+    # pair i, in row order, repeats included; a (P,) genome gives its (3,) row.
     rng = np.random.default_rng(18)
     train = make_slides(rng, 6, 4, ["a", "b"])
     evals = make_slides(rng, 4, 4, ["a", "b"], split="validation")
     layout = build_layout(train)
-    first, second = (random_covered_genome(rng, layout) for _ in range(2))
-    batch = np.stack([first, second, first, first])
-    evaluator = FitnessEvaluator(layout, evals, 3, constrained=True)
-    calls = []  # rows passed to each evaluate_full call
-    evaluate_full = evaluator.evaluate_full
+    first, second, third = (random_covered_genome(rng, layout, density)
+                            for density in (0.2, 0.5, 0.8))
+    batch = np.stack([first, second, first, third, first, second])
+    evaluator = FitnessEvaluator(layout, evals, 3, constrained=constrained)
 
-    def recording(genomes):
-        calls.append(genomes.copy())
-        return evaluate_full(genomes)
-
-    evaluator.evaluate_full = recording
-
-    pairs = evaluator.evaluate(batch)
-    assert len(calls) == 1 and np.array_equal(calls[0], batch)
-    assert pairs == [pair for pair, _ in evaluate_full(batch)]
-    assert pairs[0] == pairs[2] == pairs[3] != pairs[1]
-    fresh = FitnessEvaluator(layout, evals, 3, constrained=True)
-    assert pairs == [fresh.evaluate(g) for g in batch]
+    rows = evaluator.evaluate(batch)
+    assert rows.shape == (6, 3) and rows.dtype == np.float64
+    expected = np.array([(p.f1_fraction, p.f2_error, p.violation)
+                         for p, _ in evaluator.evaluate_full(batch)])
+    assert rows.tobytes() == expected.tobytes()
+    assert rows[0].tobytes() == rows[2].tobytes() == rows[4].tobytes() != rows[1].tobytes()
+    assert len({row.tobytes() for row in rows}) == 3
+    singles = np.stack([evaluator.evaluate(genome) for genome in batch])
+    assert singles.tobytes() == rows.tobytes()
+    assert evaluator.evaluate(batch[:0]).shape == (0, 3)
+    if not constrained:
+        assert not rows[:, 2].any()
 
 
 def test_evaluate_full_batch_matches_single_genomes():
